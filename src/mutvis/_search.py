@@ -2,19 +2,33 @@
 
 The searcher grows subsets of a fixed candidate list in ascending vertex
 order, so the first maximum it completes is the lexicographically smallest
-one, and the result never depends on timing.  Three prunes keep it exact:
+one, and the result never depends on timing.  Every prune only drops
+branches that cannot beat the incumbent, which keeps it exact:
 
 * a failed membership test cuts the whole branch, since every superset of an
   infeasible set is infeasible too;
-* subsets covering a known infeasible "blocker" are skipped without calling
-  the oracle at all;
-* a branch is abandoned when even taking every remaining candidate cannot
-  beat the incumbent.  Blockers sharpen this bound: pairwise-disjoint
-  blockers inside the remaining suffix each force at least one exclusion.
+* known infeasible "blockers" are never proposed.  A blocker of two
+  vertices is an edge of the *conflict graph*: each candidate carries a
+  bitmask of the candidates it conflicts with, choosing a vertex drops its
+  conflicts from the remaining suffix, and no blocker scan is needed.
+  Blockers of any other size are kept in a list and a subset covering one
+  is skipped without calling the oracle;
+* a branch is abandoned when an upper bound on what the remaining suffix
+  can add cannot beat the incumbent.  The bound is the greedy clique cover
+  of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et al.'s
+  BBMC, applied to the complement): one back-to-front pass over the suffix
+  puts each vertex into the first clique of the conflict graph it fully
+  conflicts with, so ``bound[j]``, the number of cliques covering
+  ``suffix[j:]``, caps a feasible subset of it (at most one vertex per
+  clique).  Without pair conflicts the pass is skipped and
+  ``bound[j] = len(suffix) - j``.  Before recursing, the searcher also
+  tries the size of the child's suffix minus the number of pairwise
+  disjoint list blockers inside it, and keeps the smaller bound.
 
 Blockers may be seeded up front (e.g. edges, when independence is part of
-the family) or learned during the search from a ``learn`` callback that
-shrinks a failed set to an infeasible core.
+the family, or every infeasible pair of candidates) or learned during the
+search from a ``learn`` callback that shrinks a failed set to an infeasible
+core.
 """
 
 from __future__ import annotations
@@ -45,12 +59,24 @@ def lex_first_maximum(
     pruning, so they never change the reported maximum.
     """
     order = sorted(candidates)
-    blockers: list[int] = []
+    blockers: list[int] = []  # blockers of other than two vertices
+    conflicts: dict[int, int] = {}  # vertex -> mask of its pair conflicts
     known: set[int] = set()
-    for b in seed_blockers:
-        if b and b not in known:
-            known.add(b)
+
+    def add_blocker(b: int) -> None:
+        if not b or b in known:
+            return
+        known.add(b)
+        if b.bit_count() == 2:
+            low = b & -b
+            u, v = low.bit_length() - 1, (b ^ low).bit_length() - 1
+            conflicts[u] = conflicts.get(u, 0) | 1 << v
+            conflicts[v] = conflicts.get(v, 0) | 1 << u
+        else:
             insort(blockers, b, key=_blocker_rank)
+
+    for b in seed_blockers:
+        add_blocker(b)
 
     best_size = 0
     best: tuple[int, ...] = ()
@@ -72,31 +98,57 @@ def lex_first_maximum(
                 used |= b
         return count
 
+    def cover_bounds(suffix: list[int]) -> list[int] | range:
+        m = len(suffix)
+        if not conflicts:
+            return range(m, -1, -1)
+        bound = [0] * (m + 1)
+        cliques: list[int] = []
+        for j in range(m - 1, -1, -1):
+            v = suffix[j]
+            near = conflicts.get(v, 0)
+            for k, c in enumerate(cliques):
+                if c & near == c:
+                    cliques[k] = c | 1 << v
+                    break
+            else:
+                cliques.append(1 << v)
+            bound[j] = len(cliques)
+        return bound
+
     def grow(chosen: list[int], mask: int, suffix: list[int]) -> None:
         nonlocal best_size, best
         m = len(suffix)
+        bound = cover_bounds(suffix)
         tails = [0] * (m + 1)
         for j in range(m - 1, -1, -1):
             tails[j] = tails[j + 1] | (1 << suffix[j])
         for i, v in enumerate(suffix):
-            if len(chosen) + (m - i) <= best_size:
+            if len(chosen) + bound[i] <= best_size:
                 break
+            near = conflicts.get(v, 0)
+            # Pair conflicts learned after this suffix was built.
+            if near & mask:
+                continue
             vmask = mask | (1 << v)
             if covered(vmask):
                 continue
             if not feasible(vmask):
                 if learn is not None and len(blockers) < BLOCKER_LIMIT:
-                    b = learn(vmask)
-                    if b and b not in known:
-                        known.add(b)
-                        insort(blockers, b, key=_blocker_rank)
+                    add_blocker(learn(vmask))
                 continue
             chosen.append(v)
             if len(chosen) > best_size:
                 best_size = len(chosen)
                 best = tuple(chosen)
             rest = suffix[i + 1 :]
-            if rest and len(chosen) + len(rest) - forced_exclusions(tails[i + 1]) > best_size:
+            if near:
+                rest = [u for u in rest if not near >> u & 1]
+            if (
+                rest
+                and len(chosen) + bound[i + 1] > best_size
+                and len(chosen) + len(rest) - forced_exclusions(tails[i + 1] & ~near) > best_size
+            ):
                 grow(chosen, vmask, rest)
             chosen.pop()
 

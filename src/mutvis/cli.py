@@ -55,8 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--cap-bp", type=int, default=DEFAULT_BP_CAP, metavar="N",
                        help="largest admissible bypass candidate count for the total invariants")
-        p.add_argument("--cap-n", type=int, default=DEFAULT_N_CAP, metavar="N",
-                       help="largest admissible order for the plain invariant search")
+        p.add_argument("--cap-n", type=int, default=None, metavar="N",
+                       help="largest admissible order for the mu and alpha searches"
+                            f" (default {DEFAULT_N_CAP} for mu, {DEFAULT_ALPHA_CAP} for alpha)")
         p.add_argument("--threads", type=int, default=1, metavar="N",
                        help="solver thread budget (results never depend on it)")
         p.add_argument("--stable", action="store_true",
@@ -115,13 +116,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _cap_n(args, default: int) -> int:
+    return default if args.cap_n is None else args.cap_n
+
+
 def _cmd_compute(args) -> int:
     obj = _load(args.graph)
     g = graph_of(obj)
     kind = args.invariant
     try:
         if kind == "mu":
-            report = max_mv(g, cap=args.cap_n).to_dict()
+            report = max_mv(g, cap=_cap_n(args, DEFAULT_N_CAP)).to_dict()
         elif kind == "mut":
             report = max_total_mv(g, cap=args.cap_bp).to_dict()
         elif kind == "muit":
@@ -129,7 +134,7 @@ def _cmd_compute(args) -> int:
         elif kind == "bp":
             report = bypass_report(g).to_dict()
         elif kind == "alpha":
-            report = alpha_report(g, cap=DEFAULT_ALPHA_CAP).to_dict()
+            report = alpha_report(g, cap=_cap_n(args, DEFAULT_ALPHA_CAP)).to_dict()
         else:
             report = {
                 "kind": "girth",
@@ -180,7 +185,8 @@ def _cmd_verify(args) -> int:
         count=args.count,
         max_n=args.max_n,
         bp_cap=args.cap_bp,
-        n_cap=args.cap_n,
+        n_cap=_cap_n(args, DEFAULT_N_CAP),
+        alpha_cap=_cap_n(args, DEFAULT_ALPHA_CAP),
     )
     try:
         if args.theorem == "all":

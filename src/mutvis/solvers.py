@@ -5,10 +5,11 @@ downward-closed family:
 
 * largest total mutual-visibility set, searched over bypass vertices only
   (a non-bypass vertex is the unique middle of some geodesic pair, so any
-  set containing it hides that pair);
+  set containing it hides that pair), with every infeasible pair of
+  candidates seeded as a conflict;
 * largest mutual-visibility set, searched over all vertices;
 * largest independent total mutual-visibility set, with edges inside the
-  candidate list seeded as conflict cores.
+  candidate list seeded as conflicts as well.
 
 ``naive_oracle`` recomputes the same numbers by scanning every subset with
 the definitional checkers, no candidate restriction and no pruning.  It is
@@ -75,6 +76,8 @@ def _require_connected(g: Graph) -> None:
 def _validate(g: Graph, kind: str, value: int, witness: tuple[int, ...]) -> None:
     # Belt-and-braces recheck of the searcher's answer; failures here mean
     # a solver bug, not bad input.
+    if value == 0 and not witness:
+        return  # the empty set qualifies for every kind; no oracle needed
     ok = len(witness) == value
     s = frozenset(witness)
     if kind == "mut":
@@ -87,13 +90,11 @@ def _validate(g: Graph, kind: str, value: int, witness: tuple[int, ...]) -> None
         raise WitnessError(f"internal check failed for {_KIND_NAMES[kind]} witness {sorted(s)}")
 
 
-def max_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> InvariantReport:
-    """Largest total mutual-visibility set of a connected graph.
-
-    Candidates are the bypass vertices; the search prunes by downward
-    closure, learned conflict cores, and a cardinality bound.  Raises
-    CapExceeded when the graph has more than ``cap`` bypass vertices.
-    """
+def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
+    # Shared by mut and muit: the candidates are the bypass vertices, and
+    # every pair of them that cannot be in one set (a pair that is not total
+    # mutual-visible, or for muit an edge) is seeded as a conflict, which
+    # gives the searcher its clique-cover bound from the start.
     _require_connected(g)
     candidates = sorted(bypass_set(g))
     if len(candidates) > cap:
@@ -101,12 +102,34 @@ def max_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> InvariantReport:
             f"{len(candidates)} bypass candidates exceed the search cap {cap};"
             " raise it with --cap-bp"
         )
-    oracle = VisibilityOracle.for_graph(g)
-    value, witness = lex_first_maximum(
-        candidates, oracle.tmv_holds, learn=oracle.minimal_tmv_blocker
-    )
-    _validate(g, "mut", value, witness)
-    return InvariantReport("mut", value, witness, "pruned-search", g.name)
+    if not candidates:
+        value, witness = 0, ()
+    else:
+        oracle = VisibilityOracle.for_graph(g)
+        pair_cores = []
+        for u, v in combinations(candidates, 2):
+            core = (1 << u) | (1 << v)
+            if (kind == "muit" and g.has_edge(u, v)) or not oracle.tmv_holds(core):
+                pair_cores.append(core)
+        value, witness = lex_first_maximum(
+            candidates,
+            oracle.tmv_holds,
+            learn=oracle.minimal_tmv_blocker,
+            seed_blockers=pair_cores,
+        )
+    _validate(g, kind, value, witness)
+    return InvariantReport(kind, value, witness, "pruned-search", g.name)
+
+
+def max_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> InvariantReport:
+    """Largest total mutual-visibility set of a connected graph.
+
+    Candidates are the bypass vertices; the search prunes by downward
+    closure, seeded pair conflicts, learned conflict cores, and a
+    clique-cover bound.  Raises CapExceeded when the graph has more than
+    ``cap`` bypass vertices.
+    """
+    return _total_search(g, "mut", cap)
 
 
 def max_independent_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> InvariantReport:
@@ -116,25 +139,7 @@ def max_independent_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> Invarian
     are seeded as two-vertex conflict cores so the searcher never proposes
     a dependent set.
     """
-    _require_connected(g)
-    candidates = sorted(bypass_set(g))
-    if len(candidates) > cap:
-        raise CapExceeded(
-            f"{len(candidates)} bypass candidates exceed the search cap {cap};"
-            " raise it with --cap-bp"
-        )
-    oracle = VisibilityOracle.for_graph(g)
-    edge_cores = [
-        (1 << u) | (1 << v) for u, v in combinations(candidates, 2) if g.has_edge(u, v)
-    ]
-    value, witness = lex_first_maximum(
-        candidates,
-        oracle.tmv_holds,
-        learn=oracle.minimal_tmv_blocker,
-        seed_blockers=edge_cores,
-    )
-    _validate(g, "muit", value, witness)
-    return InvariantReport("muit", value, witness, "pruned-search", g.name)
+    return _total_search(g, "muit", cap)
 
 
 def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:

@@ -142,6 +142,11 @@ def _arity(head: str, params: Sequence[int], want: int, whole: str) -> None:
         )
 
 
+def _is_count(field: str) -> bool:
+    # str.isdigit alone accepts characters such as '²' that int() rejects.
+    return field.isascii() and field.isdigit()
+
+
 def parse_graph_file(path: str | os.PathLike) -> Graph:
     """Read an edge-list file; the graph is named by its ``# graph:``
     header when present, else by the file's base name."""
@@ -160,13 +165,13 @@ def parse_graph_file(path: str | os.PathLike) -> Graph:
                 continue
             fields = line.split()
             if order is None:
-                if len(fields) != 1 or not fields[0].isdigit():
+                if len(fields) != 1 or not _is_count(fields[0]):
                     raise SpecError(f"{path}:{lineno}: expected a vertex count, got {line!r}")
                 order = int(fields[0])
                 if order < 1:
                     raise SpecError(f"{path}:{lineno}: vertex count must be positive")
                 continue
-            if len(fields) != 2 or not all(f.isdigit() for f in fields):
+            if len(fields) != 2 or not all(_is_count(f) for f in fields):
                 raise SpecError(f"{path}:{lineno}: expected an edge 'u v', got {line!r}")
             u, v = int(fields[0]), int(fields[1])
             if u == v:

@@ -90,6 +90,18 @@ def test_compute_cap_exit(capsys):
     assert json.loads(out)["value"] == 2
 
 
+def test_compute_alpha_honours_cap_n(capsys):
+    spec = "cp(complete:5,complete:5)"
+    code, _, err = run_cli(capsys, "compute", "--graph", spec, "--invariant", "alpha")
+    assert code == 1
+    assert "cap 24" in err and "--cap-n" in err
+    code, out, _ = run_cli(
+        capsys, "compute", "--graph", spec, "--invariant", "alpha", "--cap-n", "40", "--stable"
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == 5
+
+
 def test_compute_parse_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "--graph", "wat:3", "--invariant", "mu")
     assert code == 2 and "wat" in err
@@ -173,6 +185,12 @@ def test_verify_cap_skips_do_not_fail_the_run(capsys):
     )
     assert code == 0
     assert "[skipped-cap]" in out
+    assert "0 fail" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorem", "fam:sandwich", "--cap-n", "3", "--format", "text"
+    )
+    assert code == 0
+    assert "independence search cap 3" in out
     assert "0 fail" in out
 
 

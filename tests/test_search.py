@@ -1,0 +1,110 @@
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import pytest
+
+from mutvis import cartesian_product, max_independent_total_mv, max_total_mv, naive_oracle
+from mutvis._search import lex_first_maximum
+from mutvis.generators import complete, cycle, path, star
+from mutvis.verify import random_connected_graph
+
+
+def _random_family(rng: random.Random, n: int) -> list[int]:
+    """Blockers of 2 to 4 vertices over range(n); the family is every set
+    that contains none of them, which is downward closed."""
+    blockers = []
+    for _ in range(rng.randint(0, 2 * n)):
+        members = rng.sample(range(n), rng.randint(2, min(4, n)))
+        blockers.append(sum(1 << v for v in members))
+    return blockers
+
+
+def _brute_force(candidates: list[int], blockers: list[int]) -> tuple[int, tuple[int, ...]]:
+    order = sorted(candidates)
+    for r in range(len(order), -1, -1):
+        for combo in combinations(order, r):
+            mask = sum(1 << v for v in combo)
+            if not any(b & mask == b for b in blockers):
+                return r, combo
+    raise AssertionError("the empty set is always feasible")
+
+
+@pytest.mark.parametrize("mode", ["plain", "learn", "learn-superset", "seed-half", "seed-all"])
+def test_matches_brute_force_on_random_families(mode):
+    rng = random.Random(f"search:{mode}")
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        blockers = _random_family(rng, n)
+        candidates = rng.sample(range(n), rng.randint(0, n))
+        rng.shuffle(candidates)
+        if mode == "seed-all":
+            seeds = blockers
+        elif mode == "seed-half":
+            seeds = rng.sample(blockers, len(blockers) // 2)
+        else:
+            seeds = []
+        known = list(seeds)
+
+        def feasible(mask):
+            # A known blocker must prune the set before the oracle sees it.
+            assert not any(b & mask == b for b in known)
+            return not any(b & mask == b for b in blockers)
+
+        def learn(mask):
+            # An infeasible subset of mask: a contained blocker, or in
+            # learn-superset mode sometimes the whole failed set.
+            if mode == "learn-superset" and rng.random() < 0.3:
+                core = mask
+            else:
+                core = next(b for b in blockers if b & mask == b)
+            known.append(core)
+            return core
+
+        got = lex_first_maximum(
+            iter(candidates),
+            feasible,
+            learn=learn if mode.startswith("learn") else None,
+            seed_blockers=seeds,
+        )
+        assert got == _brute_force(candidates, blockers), (candidates, blockers)
+
+
+def test_pair_conflicts_alone_give_an_independent_set():
+    # Pair seeds only, with an always-true oracle: a maximum independent set.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)]
+    seeds = [(1 << u) | (1 << v) for u, v in edges]
+    calls = []
+
+    def feasible(mask):
+        calls.append(mask)
+        return True
+
+    assert lex_first_maximum(range(6), feasible, seed_blockers=seeds) == (3, (1, 3, 5))
+    for mask in calls:
+        assert not any(s & mask == s for s in seeds)
+
+
+def _small_products():
+    graphs = [
+        cartesian_product(path(2), cycle(7)).graph,
+        cartesian_product(complete(2), complete(7)).graph,
+        cartesian_product(complete(3), complete(4)).graph,
+        cartesian_product(star(2), path(4)).graph,
+        cartesian_product(cycle(3), cycle(4)).graph,
+    ]
+    for i in range(6):
+        g = random_connected_graph(3 + i % 2, 4000 + i)
+        h = random_connected_graph(3, 4100 + i)
+        graphs.append(cartesian_product(g, h).graph)
+    return graphs
+
+
+def test_total_solvers_match_the_oracle_on_small_products():
+    for g in _small_products():
+        assert g.order <= 14
+        for kind, solver in (("mut", max_total_mv), ("muit", max_independent_total_mv)):
+            o = naive_oracle(g, kind)
+            r = solver(g)
+            assert (r.value, r.witness) == (o.value, o.witness), (g.name, kind)

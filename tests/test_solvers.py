@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import mutvis.visibility
 import reference
 from mutvis import (
     CapExceeded,
@@ -135,6 +136,16 @@ def test_solvers_require_connected_input():
 def test_zero_test_agrees_with_solver():
     for g in _small_batch():
         assert mut_is_zero(g) == (max_total_mv(g).value == 0)
+
+
+def test_empty_bypass_set_builds_no_oracle(monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("oracle built for a graph without bypass vertices")
+
+    monkeypatch.setattr(mutvis.visibility.VisibilityOracle, "__init__", refuse)
+    for fn in (max_total_mv, max_independent_total_mv):
+        report = fn(cycle(60))
+        assert (report.value, report.witness) == (0, ())
 
 
 def test_bypass_report():

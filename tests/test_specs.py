@@ -83,10 +83,12 @@ def test_parse_graph_file_errors(tmp_path):
         ("zero\n0 1\n", ""),
         ("", ""),
         ("# only a comment\n", ""),
+        ("\u00b2\n0 1\n", "vertex count"),
+        ("2\n0 \u00b2\n", "expected an edge"),
     ]
     for i, (content, fragment) in enumerate(cases):
         f = tmp_path / f"bad{i}.txt"
-        f.write_text(content)
+        f.write_text(content, encoding="utf-8")
         with pytest.raises(SpecError) as err:
             parse_graph_file(f)
         assert fragment in str(err.value)
