@@ -25,6 +25,11 @@ branches that cannot beat the incumbent, which keeps it exact:
   tries the size of the child's suffix minus the number of pairwise
   disjoint list blockers inside it, and keeps the smaller bound.
 
+The searcher calls ``feasible`` only on a set grown by one vertex above all
+of its members from a set ``feasible`` has already accepted (or from the
+empty set).  A membership test may rely on that, and check only what the
+new vertex can break.
+
 Blockers may be seeded up front (e.g. edges, when independence is part of
 the family, or every infeasible pair of candidates) or learned during the
 search from a ``learn`` callback that shrinks a failed set to an infeasible
@@ -52,11 +57,13 @@ def lex_first_maximum(
     """Return ``(size, members)`` of a largest feasible subset of ``candidates``.
 
     ``feasible`` takes a bitmask over vertex ids and must describe a
-    downward-closed family containing the empty set.  Among maximum subsets
-    the lexicographically smallest member sequence is returned.  ``learn``,
-    when given, maps an infeasible bitmask to an infeasible subset of it
-    (ideally minimal); both learned and seeded blockers are used only for
-    pruning, so they never change the reported maximum.
+    downward-closed family containing the empty set.  It is only called on
+    a mask whose highest vertex was just added to the empty set or to a mask
+    it accepted earlier.  Among maximum subsets the lexicographically
+    smallest member sequence is returned.  ``learn``, when given, maps an
+    infeasible bitmask to an infeasible subset of it (ideally minimal);
+    both learned and seeded blockers are used only for pruning, so they
+    never change the reported maximum.
     """
     order = sorted(candidates)
     blockers: list[int] = []  # blockers of other than two vertices

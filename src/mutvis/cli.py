@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-n", type=int, default=None, metavar="N",
                        help="largest admissible order for the mu and alpha searches"
                             f" (default {DEFAULT_N_CAP} for mu, {DEFAULT_ALPHA_CAP} for alpha)")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="solver thread budget (results never depend on it)")
         p.add_argument("--stable", action="store_true",
                        help="omit the timestamp so identical runs are byte-identical")
 
@@ -254,9 +252,6 @@ def _cmd_info(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("mutvis: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "compute":
             return _cmd_compute(args)

@@ -94,7 +94,11 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
     # Shared by mut and muit: the candidates are the bypass vertices, and
     # every pair of them that cannot be in one set (a pair that is not total
     # mutual-visible, or for muit an edge) is seeded as a conflict, which
-    # gives the searcher its clique-cover bound from the start.
+    # gives the searcher its clique-cover bound from the start.  The search
+    # only ever adds a higher candidate to a set it has accepted, and {u} is
+    # total mutual-visible for a bypass u, so both the pair seeding and the
+    # search use the incremental check tmv_grows; _validate re-checks the
+    # witness with the full tmv_holds.
     _require_connected(g)
     candidates = sorted(bypass_set(g))
     if len(candidates) > cap:
@@ -109,11 +113,11 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
         pair_cores = []
         for u, v in combinations(candidates, 2):
             core = (1 << u) | (1 << v)
-            if (kind == "muit" and g.has_edge(u, v)) or not oracle.tmv_holds(core):
+            if (kind == "muit" and g.has_edge(u, v)) or not oracle.tmv_grows(core):
                 pair_cores.append(core)
         value, witness = lex_first_maximum(
             candidates,
-            oracle.tmv_holds,
+            oracle.tmv_grows,
             learn=oracle.minimal_tmv_blocker,
             seed_blockers=pair_cores,
         )

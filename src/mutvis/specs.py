@@ -3,6 +3,8 @@
 An expression names either a generator family with its parameters
 (``cycle:5``, ``theta:2,2,4``, ``randomtree:8,42``) or a Cartesian product
 of expressions (``cp(complete:3,complete:5)``, nesting allowed to depth 3).
+An expression above MAX_ORDER vertices or MAX_EDGES edges is refused
+before anything is built; the counts follow from the parameters alone.
 The file format is line-based: ``#`` starts a comment, the first
 significant line is the vertex count, every following line is one edge
 ``u v``.  Exported files carry a ``# graph: <expression>`` header so they
@@ -12,7 +14,9 @@ can be traced back to the expression that produced them.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from functools import partial
+from math import prod
+from typing import Callable, NamedTuple, Sequence
 
 from . import generators
 from .errors import SpecError
@@ -20,70 +24,118 @@ from .graph import Graph
 from .products import ProductGraph, k_fold_product
 
 MAX_PRODUCT_DEPTH = 3
+MAX_ORDER = 5000
+MAX_EDGES = 200_000
 
-_NO_ARG = {
-    "petersen": generators.petersen,
-    "fig1": generators.fig1,
-    "fig2": generators.fig2,
+# family -> (constructor, parameter count, (order, edges) from the
+# parameters).  A count of None means the parameters form one list, which
+# the constructor takes as a single argument.
+_FAMILIES: dict[str, tuple[Callable[..., Graph], int | None, Callable[..., tuple[int, int]]]] = {
+    "petersen": (generators.petersen, 0, lambda: (10, 15)),
+    "fig1": (generators.fig1, 0, lambda: (12, 15)),
+    "fig2": (generators.fig2, 0, lambda: (10, 15)),
+    "path": (generators.path, 1, lambda n: (n, n - 1)),
+    "cycle": (generators.cycle, 1, lambda n: (n, n)),
+    "complete": (generators.complete, 1, lambda n: (n, n * (n - 1) // 2)),
+    "star": (generators.star, 1, lambda k: (k + 1, k)),
+    "gm": (generators.g_m, 1, lambda m: (3 * m + 3, 4 * m + 2)),
+    "biclique": (generators.biclique, 2, lambda a, b: (a + b, a * b)),
+    "randomtree": (generators.random_tree, 2, lambda n, seed: (n, n - 1)),
+    "theta": (
+        generators.theta,
+        None,
+        lambda lengths: (2 + sum(max(p - 1, 0) for p in lengths), sum(lengths)),
+    ),
+    "gencomplete": (
+        generators.generalized_complete,
+        None,
+        lambda sizes: (1 + sum(sizes), sum(s * (s + 1) // 2 for s in sizes)),
+    ),
 }
-_ONE_ARG = {
-    "path": generators.path,
-    "cycle": generators.cycle,
-    "complete": generators.complete,
-    "star": generators.star,
-    "gm": generators.g_m,
-}
 
 
-def build(text: str, _depth: int = 1):
+class _Family(NamedTuple):
+    """One generator call, with the size it will have, not yet built."""
+
+    make: Callable[[], Graph]
+    order: int
+    edges: int
+
+
+def build(text: str):
     """Parse an expression and construct its graph.
 
     Returns a Graph, or a ProductGraph for ``cp(...)`` expressions; use
     :func:`graph_of` when only the plain graph is wanted.  Nested products
     are flattened into one multi-factor product, which assigns the same
-    vertex ids as building them pairwise.
+    vertex ids as building them pairwise.  The vertex and edge counts are
+    worked out from the parameters first: an expression above
+    ``MAX_ORDER`` vertices or ``MAX_EDGES`` edges raises SpecError before
+    any graph is built.
     """
+    parsed = _parse(text, 1)
+    if isinstance(parsed, _Family):
+        return parsed.make()
+    _check_size(*_size(parsed), text.strip())
+    return k_fold_product([f.make() for f in parsed])
+
+
+def _parse(text: str, depth: int) -> _Family | list[_Family]:
     text = text.strip()
     if not text:
         raise SpecError("empty graph expression")
     if text.startswith("cp(") and text.endswith(")"):
-        if _depth > MAX_PRODUCT_DEPTH:
+        if depth > MAX_PRODUCT_DEPTH:
             raise SpecError(f"products nest at most {MAX_PRODUCT_DEPTH} deep: {text!r}")
         parts = _split_args(text[3:-1], text)
         if len(parts) not in (2, 3):
             raise SpecError(f"cp() takes 2 or 3 factors, got {len(parts)}: {text!r}")
-        factors: list[Graph] = []
+        factors: list[_Family] = []
         for part in parts:
-            built = build(part, _depth + 1)
-            if isinstance(built, ProductGraph):
-                factors.extend(built.factors)
-            else:
-                factors.append(built)
-        return k_fold_product(factors)
+            parsed = _parse(part, depth + 1)
+            factors.extend(parsed if isinstance(parsed, list) else [parsed])
+        return factors
     head, sep, tail = text.partition(":")
     head = head.strip()
-    if not sep:
-        fn = _NO_ARG.get(head)
-        if fn is None:
-            raise SpecError(f"unknown graph family {head!r}")
-        return fn()
-    if head in _NO_ARG:
-        raise SpecError(f"family {head!r} takes no parameters")
-    params = _int_params(tail, text)
-    if head in _ONE_ARG:
-        _arity(head, params, 1, text)
-        return _ONE_ARG[head](params[0])
-    if head == "biclique":
-        _arity(head, params, 2, text)
-        return generators.biclique(params[0], params[1])
-    if head == "randomtree":
-        _arity(head, params, 2, text)
-        return generators.random_tree(params[0], params[1])
-    if head == "theta":
-        return generators.theta(params)
-    if head == "gencomplete":
-        return generators.generalized_complete(params)
-    raise SpecError(f"unknown graph family {head!r}")
+    entry = _FAMILIES.get(head)
+    if entry is None:
+        raise SpecError(f"unknown graph family {head!r}")
+    make, arity, size = entry
+    if arity == 0:
+        if sep:
+            raise SpecError(f"family {head!r} takes no parameters")
+        args: tuple = ()
+    elif not sep:
+        raise SpecError(f"family {head!r} needs parameters: {text!r}")
+    else:
+        params = _int_params(tail, text)
+        if arity is None:
+            args = (params,)
+        else:
+            _arity(head, params, arity, text)
+            args = tuple(params)
+    order, edges = size(*args)
+    _check_size(order, edges, text)
+    return _Family(partial(make, *args), order, edges)
+
+
+def _size(parsed: _Family | list[_Family]) -> tuple[int, int]:
+    """Order and edge count of a parsed expression, without building it."""
+    if isinstance(parsed, _Family):
+        return parsed.order, parsed.edges
+    # |E(G1 x ... x Gk)| is the sum over i of |E(Gi)| times the other orders.
+    edges = sum(
+        f.edges * prod(g.order for j, g in enumerate(parsed) if j != i)
+        for i, f in enumerate(parsed)
+    )
+    return prod(f.order for f in parsed), edges
+
+
+def _check_size(order: int, edges: int, text: str) -> None:
+    if order > MAX_ORDER:
+        raise SpecError(f"{text!r} has {order} vertices, above the limit of {MAX_ORDER}")
+    if edges > MAX_EDGES:
+        raise SpecError(f"{text!r} has {edges} edges, above the limit of {MAX_EDGES}")
 
 
 def graph_of(obj) -> Graph:

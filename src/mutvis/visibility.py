@@ -12,6 +12,17 @@ obstacle vertices receive a distance when first reached but are never
 expanded, so the search computes, for every target at once, the length of a
 shortest path whose internal vertices avoid the obstacles.  A pair is
 visible exactly when that restricted length equals the true distance.
+Pair visibility is the same search with a single target.
+
+The exact search only ever grows a total mutual-visible set of bypass
+vertices by one higher vertex v, so it uses the incremental check
+``tmv_grows``.  Each candidate v gets, on first use, its *interior mask*:
+one n*n-bit integer holding, at bit x*n + y, the pairs x < y with v
+strictly inside some shortest x,y-path.  A pair can break only when v and
+another member both lie in its interval (a bypass vertex alone hides
+nothing), so only those pairs are searched.  ``tmv_holds`` stays the full,
+non-incremental check behind the public predicates and the witness
+re-check.
 """
 
 from __future__ import annotations
@@ -28,11 +39,11 @@ class VisibilityOracle:
 
     Construction computes the distance matrix (hence requires a connected
     graph), per-source distance-level masks, and adjacency masks.  All query
-    methods take obstacle sets as plain bitmasks; the instance is read-only
-    after construction.
+    methods take obstacle sets as plain bitmasks; after construction the
+    instance only fills its cache of interior masks.
     """
 
-    __slots__ = ("graph", "n", "dist", "adj", "full", "above", "levels")
+    __slots__ = ("graph", "n", "dist", "adj", "full", "above", "levels", "_interior")
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -49,6 +60,7 @@ class VisibilityOracle:
                 lv[dv] |= 1 << v
             levels.append(tuple(lv))
         self.levels = tuple(levels)
+        self._interior: dict[int, int] = {}
 
     @classmethod
     def for_graph(cls, g: Graph) -> "VisibilityOracle":
@@ -94,23 +106,29 @@ class VisibilityOracle:
 
     def pair_visible(self, x: int, y: int, obstacles: int) -> bool:
         """Some shortest x,y-path has all internal vertices outside obstacles."""
-        adj = self.adj
-        target_level = self.dist.row(x)[y]
-        reached = 1 << x
-        frontier = reached
-        for k in range(target_level):
-            expand = frontier if k == 0 else frontier & ~obstacles
-            nxt = 0
-            while expand:
-                low = expand & -expand
-                nxt |= adj[low.bit_length() - 1]
-                expand &= expand - 1
-            nxt &= ~reached
-            if not nxt:
-                return False
-            reached |= nxt
-            frontier = nxt
-        return bool(reached >> y & 1)
+        return self._first_blocked_target(x, obstacles, 1 << y) < 0
+
+    def interior(self, v: int) -> int:
+        """Mask over pairs, bit ``x * n + y``: the pairs x < y with v strictly
+        inside some shortest x,y-path, d(x,v) + d(v,y) = d(x,y) and v not in
+        {x, y}.  Built on first use and cached."""
+        pairs = self._interior.get(v)
+        if pairs is None:
+            lv = self.levels[v]
+            dv = self.dist.row(v)
+            drop = ~(1 << v)
+            pairs = 0
+            for x in range(self.n):
+                if x == v:
+                    continue
+                dxv = dv[x]
+                lx = self.levels[x]
+                row = 0
+                for k in range(1, min(len(lv), len(lx) - dxv)):
+                    row |= lv[k] & lx[dxv + k]
+                pairs |= (row & self.above[x] & drop) << (x * self.n)
+            self._interior[v] = pairs
+        return pairs
 
     # -- set checks ------------------------------------------------------------
 
@@ -120,6 +138,37 @@ class VisibilityOracle:
         for src in range(self.n - 1):
             if self._first_blocked_target(src, obstacles, self.above[src]) >= 0:
                 return False
+        return True
+
+    def tmv_grows(self, obstacles: int) -> bool:
+        """tmv_holds for a set grown by its highest vertex v, given that the
+        rest is total mutual-visible and every member is a bypass vertex.
+
+        Adding v can only block a pair when v lies strictly inside one of
+        its geodesics; if no other member does, the pair stays visible past
+        the whole set because {v} alone is total mutual-visible.  So only
+        the pairs in ``interior(v)`` and in some other member's interior
+        mask are searched, one source at a time."""
+        if not obstacles & (obstacles - 1):
+            return True  # the empty set, or one bypass vertex
+        v = obstacles.bit_length() - 1
+        rest = obstacles ^ (1 << v)
+        shared = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            shared |= self.interior(low.bit_length() - 1)
+        pairs = self.interior(v) & shared
+        n = self.n
+        src = 0
+        while pairs:
+            skip = ((pairs & -pairs).bit_length() - 1) // n
+            src += skip
+            pairs >>= skip * n
+            if self._first_blocked_target(src, obstacles, pairs & self.full) >= 0:
+                return False
+            pairs >>= n
+            src += 1
         return True
 
     def tmv_violation(self, obstacles: int) -> tuple[int, int] | None:

@@ -111,20 +111,20 @@ def test_compute_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_compute_oversized_expression_exit_2(capsys):
+    for spec in ("path:99999999", "complete:700", "cp(path:100,path:100)"):
+        code, out, err = run_cli(capsys, "compute", "--graph", spec, "--invariant", "bp")
+        assert code == 2 and not out
+        assert err.startswith("mutvis: ") and "limit of" in err
+        assert err.count("\n") == 1
+
+
 def test_compute_disconnected_exit_1(tmp_path, capsys):
     f = tmp_path / "disc.txt"
     f.write_text("4\n0 1\n2 3\n")
     code, _, err = run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "mut")
     assert code == 1
     assert "connected" in err
-
-
-def test_threads_must_be_positive(capsys):
-    code, _, err = run_cli(
-        capsys, "compute", "--graph", "path:3", "--invariant", "mu", "--threads", "0"
-    )
-    assert code == 2
-    assert "--threads" in err
 
 
 def test_verify_single_suite(capsys):

@@ -5,10 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from mutvis import cartesian_product, max_independent_total_mv, max_total_mv, naive_oracle
+from mutvis import (
+    bypass_set,
+    cartesian_product,
+    is_total_mv_set,
+    max_independent_total_mv,
+    max_total_mv,
+    naive_oracle,
+)
 from mutvis._search import lex_first_maximum
 from mutvis.generators import complete, cycle, path, star
 from mutvis.verify import random_connected_graph
+from mutvis.visibility import VisibilityOracle
 
 
 def _random_family(rng: random.Random, n: int) -> list[int]:
@@ -46,11 +54,17 @@ def test_matches_brute_force_on_random_families(mode):
         else:
             seeds = []
         known = list(seeds)
+        accepted = {0}
 
         def feasible(mask):
             # A known blocker must prune the set before the oracle sees it.
             assert not any(b & mask == b for b in known)
-            return not any(b & mask == b for b in blockers)
+            # The grow contract: mask minus its highest vertex was accepted.
+            assert mask & ~(1 << (mask.bit_length() - 1)) in accepted
+            ok = not any(b & mask == b for b in blockers)
+            if ok:
+                accepted.add(mask)
+            return ok
 
         def learn(mask):
             # An infeasible subset of mask: a contained blocker, or in
@@ -104,6 +118,26 @@ def _small_products():
 def test_total_solvers_match_the_oracle_on_small_products():
     for g in _small_products():
         assert g.order <= 14
+        for kind, solver in (("mut", max_total_mv), ("muit", max_independent_total_mv)):
+            o = naive_oracle(g, kind)
+            r = solver(g)
+            assert (r.value, r.witness) == (o.value, o.witness), (g.name, kind)
+
+
+def test_total_solvers_grow_only_accepted_bypass_sets(monkeypatch):
+    # tmv_grows relies on the rest of its set being total mutual-visible and
+    # made of bypass vertices; hold the solvers to that on every call.
+    grows = VisibilityOracle.tmv_grows
+
+    def checked(self, mask):
+        v = mask.bit_length() - 1
+        rest = frozenset(u for u in range(self.n) if mask >> u & 1 and u != v)
+        assert rest | {v} <= bypass_set(self.graph)
+        assert is_total_mv_set(self.graph, rest)
+        return grows(self, mask)
+
+    monkeypatch.setattr(VisibilityOracle, "tmv_grows", checked)
+    for g in _small_products()[:6]:
         for kind, solver in (("mut", max_total_mv), ("muit", max_independent_total_mv)):
             o = naive_oracle(g, kind)
             r = solver(g)

@@ -5,6 +5,7 @@ import pytest
 from mutvis import Graph, SpecError, build, graph_of, parse_graph_file, write_graph_file
 from mutvis.generators import cycle, g_m, petersen, theta
 from mutvis.products import ProductGraph
+from mutvis.specs import MAX_EDGES, MAX_ORDER, _parse, _size
 
 
 def test_build_simple_families():
@@ -48,6 +49,7 @@ def test_build_rejects_malformed_expressions():
         "cp(path:2,)",
         "cp(path:2",
         "cp(2,2,path:2)",
+        "theta",
     ):
         with pytest.raises(SpecError):
             build(text)
@@ -59,6 +61,39 @@ def test_build_limits_product_depth():
         build(deep)
     ok = "cp(cp(cp(path:2,path:2),path:2),path:2)"
     assert build(ok).graph.order == 16
+
+
+def test_predicted_sizes_match_built_graphs():
+    for spec in (
+        "path:6", "cycle:5", "complete:4", "biclique:2,3", "star:4",
+        "theta:1,2,3", "theta:2,2,4", "gencomplete:1,2,3", "gm:5", "petersen",
+        "fig1", "fig2", "randomtree:7,3", "cp(complete:2,complete:3)",
+        "cp(path:3,cycle:4,gm:1)", "cp(theta:2,2,4,cp(path:2,star:2))",
+    ):
+        g = graph_of(build(spec))
+        assert _size(_parse(spec, 1)) == (g.order, g.num_edges), spec
+
+
+def test_build_refuses_oversized_expressions_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    for text, limit in (
+        ("path:99999999", f"limit of {MAX_ORDER}"),
+        ("complete:700", f"limit of {MAX_EDGES}"),
+        ("cp(path:100,path:100)", f"limit of {MAX_ORDER}"),
+        ("cp(complete:60,complete:60)", f"limit of {MAX_EDGES}"),
+        ("cp(path:2,gencomplete:99999999)", f"limit of {MAX_ORDER}"),
+    ):
+        with pytest.raises(SpecError, match=limit):
+            build(text)
+
+
+def test_build_accepts_the_largest_order():
+    assert graph_of(build(f"path:{MAX_ORDER}")).order == MAX_ORDER
+    with pytest.raises(SpecError):
+        build(f"path:{MAX_ORDER + 1}")
 
 
 def test_parse_graph_file(tmp_path):

@@ -10,6 +10,7 @@ from mutvis import (
     GraphError,
     all_pairs_distances,
     bypass_set,
+    cartesian_product,
     is_bypass_vertex,
     is_mv_set,
     is_pair_visible,
@@ -18,6 +19,7 @@ from mutvis import (
 )
 from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, star, theta
 from mutvis.verify import random_connected_graph
+from mutvis.visibility import VisibilityOracle
 
 
 def test_pair_visibility_matches_path_enumeration():
@@ -41,6 +43,13 @@ def test_pair_visibility_rejects_degenerate_pair():
     d = all_pairs_distances(g)
     with pytest.raises(GraphError):
         is_pair_visible(g, d, 1, 1, frozenset())
+
+
+def test_pair_visible_of_a_vertex_with_itself():
+    # The single-target engine treats x == y as trivially visible.
+    g = cycle(5)
+    oracle = VisibilityOracle.for_graph(g)
+    assert all(oracle.pair_visible(x, x, oracle.full) for x in range(5))
 
 
 def test_endpoints_do_not_block_themselves():
@@ -118,3 +127,46 @@ def test_bypass_known_sets():
 def test_bypass_set_is_cached_per_graph():
     g = petersen()
     assert bypass_set(g) is bypass_set(g)
+
+
+def _grow_graphs():
+    graphs = [random_connected_graph(4 + i % 6, 1500 + i) for i in range(24)]
+    for i in range(6):
+        g = random_connected_graph(3, 1600 + i)
+        h = random_connected_graph(3 + i % 2, 1700 + i)
+        graphs.append(cartesian_product(g, h).graph)
+    graphs.append(cartesian_product(cycle(4), path(3)).graph)
+    return graphs
+
+
+def test_interior_masks_match_geodesics():
+    for g in _grow_graphs()[:10]:
+        oracle = VisibilityOracle.for_graph(g)
+        slow = reference.floyd_warshall(g)
+        for v in range(g.order):
+            inner = oracle.interior(v)
+            for x, y in combinations(range(g.order), 2):
+                inside = any(v in p[1:-1] for p in reference.all_shortest_paths(g, x, y, slow))
+                assert bool(inner >> (x * g.order + y) & 1) == inside, (g.name, v, x, y)
+
+
+def test_grow_check_matches_brute_force():
+    # Every total mutual-visible base of bypass vertices up to size 3, grown
+    # by every larger bypass vertex, against the path-enumeration reference.
+    outcomes = set()
+    for g in _grow_graphs():
+        oracle = VisibilityOracle.for_graph(g)
+        slow = reference.floyd_warshall(g)
+        bp = sorted(reference.bypass_vertices(g, slow))
+        for r in range(4):
+            for base in combinations(bp, r):
+                if not reference.is_tmv(g, base, slow):
+                    continue
+                mask = sum(1 << u for u in base)
+                for v in bp:
+                    if base and v <= base[-1]:
+                        continue
+                    want = reference.is_tmv(g, {*base, v}, slow)
+                    assert oracle.tmv_grows(mask | 1 << v) == want, (g.name, base, v)
+                    outcomes.add(want)
+    assert outcomes == {True, False}
