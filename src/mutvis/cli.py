@@ -24,20 +24,10 @@ from .graph import (
     min_degree,
 )
 from .products import ProductGraph
-from .solvers import (
-    DEFAULT_BP_CAP,
-    DEFAULT_N_CAP,
-    alpha_report,
-    bypass_report,
-    max_independent_total_mv,
-    max_mv,
-    max_total_mv,
-)
+from .solvers import DEFAULT_BP_CAP, DEFAULT_N_CAP, INVARIANTS
 from .specs import build, graph_of, parse_graph_file, write_graph_file
 from .verify import SuiteOptions, run_all, run_suite, suite_ids
 from .visibility import bypass_set
-
-_INVARIANTS = ("mu", "mut", "muit", "bp", "alpha", "girth")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute one invariant of one graph")
     add_graph(p_compute)
-    p_compute.add_argument("--invariant", required=True, choices=_INVARIANTS)
+    p_compute.add_argument("--invariant", required=True, choices=tuple(INVARIANTS))
     p_compute.add_argument("--witness", action="store_true",
                            help="include the witness vertex set in the report")
     add_common(p_compute)
@@ -114,8 +104,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _cap_n(args, default: int) -> int:
-    return default if args.cap_n is None else args.cap_n
+def _options(args, **corpus) -> SuiteOptions:
+    # --cap-n bounds both the mu and the alpha search; unset, each search
+    # keeps its own default.
+    return SuiteOptions(
+        bp_cap=args.cap_bp,
+        n_cap=DEFAULT_N_CAP if args.cap_n is None else args.cap_n,
+        alpha_cap=DEFAULT_ALPHA_CAP if args.cap_n is None else args.cap_n,
+        **corpus,
+    )
 
 
 def _cmd_compute(args) -> int:
@@ -123,24 +120,7 @@ def _cmd_compute(args) -> int:
     g = graph_of(obj)
     kind = args.invariant
     try:
-        if kind == "mu":
-            report = max_mv(g, cap=_cap_n(args, DEFAULT_N_CAP)).to_dict()
-        elif kind == "mut":
-            report = max_total_mv(g, cap=args.cap_bp).to_dict()
-        elif kind == "muit":
-            report = max_independent_total_mv(g, cap=args.cap_bp).to_dict()
-        elif kind == "bp":
-            report = bypass_report(g).to_dict()
-        elif kind == "alpha":
-            report = alpha_report(g, cap=_cap_n(args, DEFAULT_ALPHA_CAP)).to_dict()
-        else:
-            report = {
-                "kind": "girth",
-                "value": girth(g),
-                "witness": [],
-                "method": "formula",
-                "graph_name": g.name,
-            }
+        report = INVARIANTS[kind](g, _options(args)).to_dict()
     except (CapExceeded, GraphError) as exc:
         print(f"mutvis: {exc}", file=sys.stderr)
         return 1
@@ -178,14 +158,7 @@ def _cmd_verify(args) -> int:
         for tid in suite_ids():
             print(tid)
         return 0
-    opts = SuiteOptions(
-        seed=args.seed,
-        count=args.count,
-        max_n=args.max_n,
-        bp_cap=args.cap_bp,
-        n_cap=_cap_n(args, DEFAULT_N_CAP),
-        alpha_cap=_cap_n(args, DEFAULT_ALPHA_CAP),
-    )
+    opts = _options(args, seed=args.seed, count=args.count, max_n=args.max_n)
     try:
         if args.theorem == "all":
             records = run_all(opts)

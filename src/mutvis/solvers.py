@@ -27,6 +27,7 @@ from .errors import CapExceeded, GraphError, WitnessError
 from .graph import (
     DEFAULT_ALPHA_CAP,
     Graph,
+    girth,
     independence_number,
     is_connected,
     is_independent_set,
@@ -53,7 +54,7 @@ class InvariantReport:
     """Outcome of one invariant computation, witness included."""
 
     kind: str
-    value: int
+    value: int | None  # None only for the girth of an acyclic graph
     witness: tuple[int, ...]
     method: str
     graph_name: str = ""
@@ -220,6 +221,20 @@ def alpha_report(g: Graph, *, cap: int = DEFAULT_ALPHA_CAP) -> InvariantReport:
     """Independence number via the same branch-and-bound searcher."""
     witness = tuple(sorted(max_independent_set(g, cap=cap)))
     return InvariantReport("alpha", len(witness), witness, "pruned-search", g.name)
+
+
+# Each invariant the CLI computes, as a function of the graph and an object
+# carrying the caps ``bp_cap``, ``n_cap`` and ``alpha_cap`` (such as
+# verify.SuiteOptions).  The lambdas look the solvers up by name at call
+# time, so a wrapper bound over a module-level name sees every call.
+INVARIANTS = {
+    "mu": lambda g, caps: max_mv(g, cap=caps.n_cap),
+    "mut": lambda g, caps: max_total_mv(g, cap=caps.bp_cap),
+    "muit": lambda g, caps: max_independent_total_mv(g, cap=caps.bp_cap),
+    "bp": lambda g, caps: bypass_report(g),
+    "alpha": lambda g, caps: alpha_report(g, cap=caps.alpha_cap),
+    "girth": lambda g, caps: InvariantReport("girth", girth(g), (), "formula", g.name),
+}
 
 
 def sandwich_check(g: Graph, *, cap: int = DEFAULT_BP_CAP, alpha_cap: int = DEFAULT_ALPHA_CAP) -> bool:

@@ -7,8 +7,10 @@ An expression above MAX_ORDER vertices or MAX_EDGES edges is refused
 before anything is built; the counts follow from the parameters alone.
 The file format is line-based: ``#`` starts a comment, the first
 significant line is the vertex count, every following line is one edge
-``u v``.  Exported files carry a ``# graph: <expression>`` header so they
-can be traced back to the expression that produced them.
+``u v``; a file whose count is above MAX_ORDER or that has more than
+MAX_EDGES edge lines is refused at that line, before the graph is built.
+Exported files carry a ``# graph: <expression>`` header so they can be
+traced back to the expression that produced them.
 """
 
 from __future__ import annotations
@@ -195,8 +197,10 @@ def _arity(head: str, params: Sequence[int], want: int, whole: str) -> None:
 
 
 def _is_count(field: str) -> bool:
-    # str.isdigit alone accepts characters such as '²' that int() rejects.
-    return field.isascii() and field.isdigit()
+    # str.isdigit alone accepts characters such as '²' that int() rejects,
+    # and int() refuses strings of more than 4,300 digits; 18 digits are
+    # far above any limit and still compare against it.
+    return field.isascii() and field.isdigit() and len(field) <= 18
 
 
 def parse_graph_file(path: str | os.PathLike) -> Graph:
@@ -222,7 +226,11 @@ def parse_graph_file(path: str | os.PathLike) -> Graph:
                 order = int(fields[0])
                 if order < 1:
                     raise SpecError(f"{path}:{lineno}: vertex count must be positive")
+                if order > MAX_ORDER:
+                    raise SpecError(f"{path}:{lineno}: {order} vertices, above the limit of {MAX_ORDER}")
                 continue
+            if len(edges) == MAX_EDGES:
+                raise SpecError(f"{path}:{lineno}: edge {MAX_EDGES + 1}, above the limit of {MAX_EDGES}")
             if len(fields) != 2 or not all(_is_count(f) for f in fields):
                 raise SpecError(f"{path}:{lineno}: expected an edge 'u v', got {line!r}")
             u, v = int(fields[0]), int(fields[1])

@@ -7,7 +7,6 @@ import json
 import mutvis.verify
 from mutvis import parse_graph_file
 from mutvis.cli import main
-from mutvis.verify import VerificationRecord
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +118,20 @@ def test_compute_oversized_expression_exit_2(capsys):
         assert err.count("\n") == 1
 
 
+def test_compute_oversized_graph_file_exit_2(tmp_path, capsys):
+    for count in ("99999999", "5001"):
+        f = tmp_path / f"n{count}.txt"
+        f.write_text(f"{count}\n0 1\n")
+        code, out, err = run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "bp")
+        assert code == 2 and not out
+        assert err == f"mutvis: {f}:1: {count} vertices, above the limit of 5000\n"
+    f = tmp_path / "path5000.txt"
+    f.write_text("5000\n" + "".join(f"{v} {v + 1}\n" for v in range(4999)))
+    code, out, _ = run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "bp", "--stable")
+    assert code == 0
+    assert json.loads(out)["value"] == 2
+
+
 def test_compute_disconnected_exit_1(tmp_path, capsys):
     f = tmp_path / "disc.txt"
     f.write_text("4\n0 1\n2 3\n")
@@ -171,7 +184,7 @@ def test_verify_list(capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def broken(opts):
-        return [VerificationRecord("test:broken", "k1", "1", "2", "fail")]
+        yield "k1", "1", lambda: ("2", False)
 
     monkeypatch.setitem(mutvis.verify._SUITES, "test:broken", ("a failing stub", broken))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "test:broken", "--format", "text")
@@ -191,6 +204,12 @@ def test_verify_cap_skips_do_not_fail_the_run(capsys):
     )
     assert code == 0
     assert "independence search cap 3" in out
+    assert "0 fail" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorem", "thm:cp-bounds", "--cap-bp", "2", "--format", "text"
+    )
+    assert code == 0
+    assert "[skipped-cap]" in out
     assert "0 fail" in out
 
 

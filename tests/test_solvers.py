@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import mutvis.solvers
 import mutvis.visibility
 import reference
 from mutvis import (
@@ -25,7 +26,8 @@ from mutvis import (
     sandwich_check,
 )
 from mutvis.generators import biclique, complete, cycle, path, random_tree, star, theta
-from mutvis.verify import random_connected_graph
+from mutvis.solvers import INVARIANTS
+from mutvis.verify import SuiteOptions, random_connected_graph
 
 
 def _small_batch():
@@ -173,3 +175,31 @@ def test_sandwich_boundary_on_two_vertices():
     # Both vertices are leaves and total mutual-visible, but no independent
     # set has two of them, so the leaf lower bound fails below order 3.
     assert not sandwich_check(path(2))
+
+
+def test_invariant_table_reads_each_cap():
+    g = complete(4)
+    tight = SuiteOptions(bp_cap=3, n_cap=3, alpha_cap=3)
+    for kind in ("mu", "mut", "muit", "alpha"):
+        with pytest.raises(CapExceeded):
+            INVARIANTS[kind](g, tight)
+        assert INVARIANTS[kind](g, SuiteOptions()).value == (1 if kind in ("muit", "alpha") else 4)
+    assert INVARIANTS["bp"](g, tight) == bypass_report(g)
+    assert INVARIANTS["girth"](g, tight).to_dict() == {
+        "kind": "girth", "value": 3, "witness": [], "method": "formula", "graph_name": g.name,
+    }
+
+
+def test_invariant_table_looks_solvers_up_at_call_time(monkeypatch):
+    # A wrapper bound over a module-level solver name (a tracer, say) must
+    # see the calls made through the table.
+    seen = []
+    real = mutvis.solvers.max_total_mv
+
+    def spy(g, *, cap):
+        seen.append(cap)
+        return real(g, cap=cap)
+
+    monkeypatch.setattr(mutvis.solvers, "max_total_mv", spy)
+    assert INVARIANTS["mut"](complete(3), SuiteOptions(bp_cap=7)).value == 3
+    assert seen == [7]

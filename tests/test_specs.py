@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import mutvis.specs
 from mutvis import Graph, SpecError, build, graph_of, parse_graph_file, write_graph_file
 from mutvis.generators import cycle, g_m, petersen, theta
 from mutvis.products import ProductGraph
@@ -120,6 +121,10 @@ def test_parse_graph_file_errors(tmp_path):
         ("# only a comment\n", ""),
         ("\u00b2\n0 1\n", "vertex count"),
         ("2\n0 \u00b2\n", "expected an edge"),
+        ("99999999\n0 1\n", f"1: 99999999 vertices, above the limit of {MAX_ORDER}"),
+        (f"# header\n{MAX_ORDER + 1}\n", f"2: {MAX_ORDER + 1} vertices, above the limit of {MAX_ORDER}"),
+        ("9" * 5000 + "\n0 1\n", "expected a vertex count"),
+        ("3\n0 " + "9" * 5000 + "\n", "expected an edge"),
     ]
     for i, (content, fragment) in enumerate(cases):
         f = tmp_path / f"bad{i}.txt"
@@ -127,6 +132,21 @@ def test_parse_graph_file_errors(tmp_path):
         with pytest.raises(SpecError) as err:
             parse_graph_file(f)
         assert fragment in str(err.value)
+
+
+def test_parse_graph_file_limits(tmp_path, monkeypatch):
+    f = tmp_path / "largest.txt"
+    f.write_text(f"{MAX_ORDER}\n0 1\n")
+    assert parse_graph_file(f).order == MAX_ORDER
+    # The edge limit is read at call time; a small one keeps the file small.
+    monkeypatch.setattr(mutvis.specs, "MAX_EDGES", 3)
+    f = tmp_path / "edges.txt"
+    f.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    with pytest.raises(SpecError) as err:
+        parse_graph_file(f)
+    assert str(err.value) == f"{f}:5: edge 4, above the limit of 3"
+    f.write_text("5\n0 1\n1 2\n2 3\n")
+    assert parse_graph_file(f).num_edges == 3
 
 
 def test_parse_error_reports_line_numbers(tmp_path):

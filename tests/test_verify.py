@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from mutvis import is_connected
+import mutvis.verify
+from mutvis import CapExceeded, is_connected
 from mutvis.verify import (
     SuiteOptions,
     VerificationRecord,
@@ -91,3 +92,33 @@ def test_run_all_aggregates_every_suite():
     seen = {r.theorem_id for r in records}
     assert seen == set(suite_ids())
     assert all(r.status != "fail" for r in records)
+
+
+def test_run_suite_calls_each_check_before_resuming_the_suite(monkeypatch):
+    def stub(opts):
+        for k in range(3):
+            yield f"k{k}", str(k), lambda: (str(k), k != 2)
+
+        def capped():
+            raise CapExceeded("stub needs more")
+
+        yield "capped", "anything", capped
+
+    monkeypatch.setitem(mutvis.verify._SUITES, "test:stub", ("a stub suite", stub))
+    records = run_suite("test:stub")
+    assert [(r.instance, r.expected, r.observed, r.status) for r in records[:3]] == [
+        ("k0", "0", "0", "pass"),
+        ("k1", "1", "1", "pass"),
+        ("k2", "2", "2", "fail"),
+    ]
+    assert records[3].status == "skipped-cap"
+    assert records[3].observed == "cap exceeded: stub needs more"
+    assert {r.theorem_id for r in records} == {"test:stub"}
+
+
+def test_zero_caps_skip_instances_and_never_abort_the_run():
+    records = run_all(SuiteOptions(bp_cap=0, n_cap=0, alpha_cap=0, oracle_cap=0))
+    assert records and all(r.status != "fail" for r in records)
+    skipped = [r for r in records if r.status == "skipped-cap"]
+    assert skipped and all(r.observed.startswith("cap exceeded: ") for r in skipped)
+    assert any(r.theorem_id == "thm:cp-bounds" for r in skipped)
