@@ -12,7 +12,10 @@ branches that cannot beat the incumbent, which keeps it exact:
   bitmask of the candidates it conflicts with, choosing a vertex drops its
   conflicts from the remaining suffix, and no blocker scan is needed.
   Blockers of any other size are kept in a list and a subset covering one
-  is skipped without calling the oracle;
+  is skipped without calling the oracle.  The test looks only at the
+  blockers whose highest vertex is the one just added: a blocker is
+  infeasible and the set grown was accepted, so a blocker inside the new
+  set must hold the new vertex, and that vertex is above all the others;
 * a branch is abandoned when an upper bound on what the remaining suffix
   can add cannot beat the incumbent.  The bound is the greedy clique cover
   of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et al.'s
@@ -28,7 +31,8 @@ branches that cannot beat the incumbent, which keeps it exact:
 The searcher calls ``feasible`` only on a set grown by one vertex above all
 of its members from a set ``feasible`` has already accepted (or from the
 empty set).  A membership test may rely on that, and check only what the
-new vertex can break.
+new vertex can break; the blocker lookup above relies on it too, so every
+seeded or learned blocker must be infeasible.
 
 Blockers may be seeded up front (e.g. edges, when independence is part of
 the family, or every infeasible pair of candidates) or learned during the
@@ -67,6 +71,7 @@ def lex_first_maximum(
     """
     order = sorted(candidates)
     blockers: list[int] = []  # blockers of other than two vertices
+    by_top: dict[int, list[int]] = {}  # the same, filed under their highest vertex
     conflicts: dict[int, int] = {}  # vertex -> mask of its pair conflicts
     known: set[int] = set()
 
@@ -81,6 +86,7 @@ def lex_first_maximum(
             conflicts[v] = conflicts.get(v, 0) | 1 << u
         else:
             insort(blockers, b, key=_blocker_rank)
+            by_top.setdefault(b.bit_length() - 1, []).append(b)
 
     for b in seed_blockers:
         add_blocker(b)
@@ -89,7 +95,9 @@ def lex_first_maximum(
     best: tuple[int, ...] = ()
 
     def covered(mask: int) -> bool:
-        for b in blockers:
+        # mask grew an accepted set by its highest vertex, so a blocker
+        # inside it must hold that vertex, and only as its highest one.
+        for b in by_top.get(mask.bit_length() - 1, ()):
             if b & mask == b:
                 return True
         return False

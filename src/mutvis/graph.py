@@ -165,7 +165,10 @@ def girth(g: Graph) -> int | None:
 
     For each edge uv, a shortest cycle through uv has length d(u, v) + 1 in
     the graph with uv removed; the girth is the minimum over all edges.
+    A forest (m = n - number of components) has no cycle and is not searched.
     """
+    if g.num_edges == g.order - _component_count(g):
+        return None
     best: int | None = None
     for u, v in g.edges():
         d = _distance_avoiding_edge(g, u, v)
@@ -174,6 +177,23 @@ def girth(g: Graph) -> int | None:
             if best == 3:
                 return 3
     return best
+
+
+def _component_count(g: Graph) -> int:
+    seen = [False] * g.order
+    count = 0
+    for source in range(g.order):
+        if seen[source]:
+            continue
+        count += 1
+        seen[source] = True
+        stack = [source]
+        while stack:
+            for w in g._adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def _distance_avoiding_edge(g: Graph, u: int, v: int) -> int:

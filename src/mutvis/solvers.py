@@ -158,7 +158,7 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
         )
     oracle = VisibilityOracle.for_graph(g)
     value, witness = lex_first_maximum(
-        range(g.order), oracle.mv_holds, learn=oracle.minimal_mv_blocker
+        range(g.order), oracle.mv_grows, learn=oracle.minimal_mv_blocker
     )
     _validate(g, "mu", value, witness)
     return InvariantReport("mu", value, witness, "pruned-search", g.name)
@@ -212,7 +212,9 @@ def mut_is_zero(g: Graph) -> bool:
 
 
 def bypass_report(g: Graph) -> InvariantReport:
-    """Bypass number with the full bypass set as witness."""
+    """Bypass number of a connected graph, with the full bypass set as
+    witness."""
+    _require_connected(g)
     bp = sorted(bypass_set(g))
     return InvariantReport("bp", len(bp), tuple(bp), "formula", g.name)
 

@@ -20,9 +20,14 @@ vertices by one higher vertex v, so it uses the incremental check
 one n*n-bit integer holding, at bit x*n + y, the pairs x < y with v
 strictly inside some shortest x,y-path.  A pair can break only when v and
 another member both lie in its interval (a bypass vertex alone hides
-nothing), so only those pairs are searched.  ``tmv_holds`` stays the full,
-non-incremental check behind the public predicates and the witness
-re-check.
+nothing), so only those pairs are searched.  The ``mu`` search grows a
+mutual-visibility set the same way and uses ``mv_grows``: one search from
+v covers the new pairs, and an old pair, visible past the rest before, can
+break only when v lies strictly inside one of its geodesics, so from each
+old member only the targets in ``interior(v)`` are searched.  Both rely on
+the rest being accepted already.  ``tmv_holds`` and ``mv_holds`` stay the
+full, non-incremental checks behind the public predicates, the learned
+blockers and the witness re-check.
 """
 
 from __future__ import annotations
@@ -188,6 +193,32 @@ class VisibilityOracle:
             if not targets:
                 break
             if self._first_blocked_target(src, members, targets) >= 0:
+                return False
+        return True
+
+    def mv_grows(self, members: int) -> bool:
+        """mv_holds for a set grown by its highest vertex v, given that the
+        rest is a mutual-visibility set.
+
+        The new pairs (x, v) take one search from v.  An old pair of the
+        rest was visible past the rest, and adding v can block it only when
+        v lies strictly inside one of its geodesics, so from each x only
+        the targets in ``interior(v)`` are searched."""
+        if not members & (members - 1):
+            return True  # the empty set, or one vertex
+        v = members.bit_length() - 1
+        rest = members ^ (1 << v)
+        if self._first_blocked_target(v, members, rest) >= 0:
+            return False
+        inner = self.interior(v)
+        n = self.n
+        rem = rest
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            x = low.bit_length() - 1
+            targets = (inner >> (x * n)) & rem
+            if targets and self._first_blocked_target(x, members, targets) >= 0:
                 return False
         return True
 

@@ -140,6 +140,16 @@ def test_compute_disconnected_exit_1(tmp_path, capsys):
     assert "connected" in err
 
 
+def test_compute_bp_disconnected_exit_1(tmp_path, capsys):
+    f = tmp_path / "disc.txt"
+    f.write_text("3\n0 1\n")
+    code, out, err = run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "bp")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "connected" in err
+    # The same one-line message as the other visibility invariants.
+    assert run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "mut") == (1, "", err)
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--theorem", "fam:gm", "--format", "text", "--stable"

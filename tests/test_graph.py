@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import mutvis.graph
 import reference
 from mutvis import (
     CapExceeded,
@@ -113,6 +114,15 @@ def test_girth_known_values():
     assert girth(fig1()) == 3
     assert girth(path(6)) is None
     assert girth(star(5)) is None
+
+
+def test_girth_of_a_forest_runs_no_search(monkeypatch):
+    def refuse(g, u, v):
+        raise AssertionError("searched an acyclic graph for a cycle")
+
+    monkeypatch.setattr(mutvis.graph, "_distance_avoiding_edge", refuse)
+    assert girth(path(5000)) is None
+    assert girth(Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)])) is None
 
 
 def test_leaves_and_degrees():

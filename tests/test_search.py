@@ -10,6 +10,7 @@ from mutvis import (
     cartesian_product,
     is_total_mv_set,
     max_independent_total_mv,
+    max_mv,
     max_total_mv,
     naive_oracle,
 )
@@ -142,3 +143,24 @@ def test_total_solvers_grow_only_accepted_bypass_sets(monkeypatch):
             o = naive_oracle(g, kind)
             r = solver(g)
             assert (r.value, r.witness) == (o.value, o.witness), (g.name, kind)
+
+
+def test_mu_solver_grows_only_accepted_sets(monkeypatch):
+    # mv_grows relies on the rest of its set being a mutual-visibility set;
+    # hold max_mv to that on every call.
+    grows = VisibilityOracle.mv_grows
+    calls = []
+
+    def checked(self, mask):
+        v = mask.bit_length() - 1
+        rest = mask ^ (1 << v)
+        assert self.mv_holds(rest)
+        calls.append(mask)
+        return grows(self, mask)
+
+    monkeypatch.setattr(VisibilityOracle, "mv_grows", checked)
+    for g in _small_products()[:6]:
+        o = naive_oracle(g, "mu")
+        r = max_mv(g)
+        assert (r.value, r.witness) == (o.value, o.witness), g.name
+    assert calls

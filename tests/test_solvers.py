@@ -13,8 +13,10 @@ from mutvis import (
     GraphError,
     InvariantReport,
     alpha_report,
+    build,
     bypass_report,
     bypass_set,
+    graph_of,
     is_independent_set,
     is_mv_set,
     is_total_mv_set,
@@ -107,6 +109,21 @@ def test_report_shape():
         report.value = 3
 
 
+@pytest.mark.parametrize(
+    "spec, value, witness",
+    [
+        ("cp(path:4,cycle:5)", 9, (0, 1, 3, 7, 9, 12, 14, 15, 16)),
+        ("cp(path:2,petersen)", 10, (0, 1, 2, 3, 14, 15, 16, 17, 18, 19)),
+        ("cp(star:3,cycle:5)", 9, (0, 2, 5, 7, 11, 13, 14, 18, 19)),
+    ],
+)
+def test_mu_lex_first_witnesses_are_pinned(spec, value, witness):
+    # Order-20 products beyond the exhaustive oracle: the search's tie-break
+    # must keep returning the lexicographically first maximum.
+    report = max_mv(graph_of(build(spec)))
+    assert (report.value, report.witness) == (value, witness)
+
+
 def test_solver_determinism():
     g = random_connected_graph(8, 77)
     first = max_total_mv(g)
@@ -156,6 +173,11 @@ def test_bypass_report():
     assert report.method == "formula"
     assert report.value == 2
     assert report.witness == (2, 3)
+
+
+def test_bypass_report_requires_connected_input():
+    with pytest.raises(GraphError, match="connected"):
+        bypass_report(Graph(3, [(0, 1)]))
 
 
 def test_alpha_report():

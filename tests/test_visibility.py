@@ -170,3 +170,23 @@ def test_grow_check_matches_brute_force():
                     assert oracle.tmv_grows(mask | 1 << v) == want, (g.name, base, v)
                     outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_mv_grow_check_matches_brute_force():
+    # Every mutual-visibility base of up to four vertices, grown by every
+    # larger vertex, against the path-enumeration reference.
+    grows = infeasible = 0
+    for g in _grow_graphs():
+        oracle = VisibilityOracle.for_graph(g)
+        slow = reference.floyd_warshall(g)
+        for r in range(5):
+            for base in combinations(range(g.order), r):
+                if not reference.is_mv(g, base, slow):
+                    continue
+                mask = sum(1 << u for u in base)
+                for v in range((base[-1] + 1) if base else 0, g.order):
+                    want = reference.is_mv(g, {*base, v}, slow)
+                    assert oracle.mv_grows(mask | 1 << v) == want, (g.name, base, v)
+                    grows += 1
+                    infeasible += not want
+    assert grows > 5000 and infeasible > 1000
