@@ -9,24 +9,34 @@ branches that cannot beat the incumbent, which keeps it exact:
   infeasible set is infeasible too;
 * known infeasible "blockers" are never proposed.  A blocker of two
   vertices is an edge of the *conflict graph*: each candidate carries a
-  bitmask of the candidates it conflicts with, choosing a vertex drops its
-  conflicts from the remaining suffix, and no blocker scan is needed.
-  Blockers of any other size are kept in a list and a subset covering one
-  is skipped without calling the oracle.  The test looks only at the
-  blockers whose highest vertex is the one just added: a blocker is
-  infeasible and the set grown was accepted, so a blocker inside the new
-  set must hold the new vertex, and that vertex is above all the others;
+  bitmask of the candidates it conflicts with, and choosing a vertex drops
+  its conflicts from the remaining suffix.  Blockers of any other size are
+  kept in a list, which each search node scans once on entry.  For a
+  blocker b inside ``chosen | suffix``, the *residual* r = b - chosen is
+  never empty, since the chosen set was accepted, and no set of this
+  subtree may hold all of r.  A residual of one vertex drops that vertex
+  from the suffix; a residual of two vertices is a pair conflict that holds
+  in this subtree only, and the chosen vertex's local conflicts also filter
+  its child's suffix.  This is unit propagation on learned nogoods
+  (Marques-Silva & Sakallah's GRASP).  A blocker learned after the scan is
+  caught by a lookup of the blockers whose highest vertex is the one just
+  added: the set grown was accepted, so a blocker inside the new set must
+  hold the new vertex, and that vertex is above all the others;
 * a branch is abandoned when an upper bound on what the remaining suffix
-  can add cannot beat the incumbent.  The bound is the greedy clique cover
-  of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et al.'s
-  BBMC, applied to the complement): one back-to-front pass over the suffix
-  puts each vertex into the first clique of the conflict graph it fully
-  conflicts with, so ``bound[j]``, the number of cliques covering
-  ``suffix[j:]``, caps a feasible subset of it (at most one vertex per
-  clique).  Without pair conflicts the pass is skipped and
-  ``bound[j] = len(suffix) - j``.  Before recursing, the searcher also
-  tries the size of the child's suffix minus the number of pairwise
-  disjoint list blockers inside it, and keeps the smaller bound.
+  can add cannot beat the incumbent.  The main bound is the greedy clique
+  cover of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et
+  al.'s BBMC, applied to the complement) over the global and the node's
+  local pair conflicts: one back-to-front pass over the suffix puts each
+  vertex into the first clique it fully conflicts with, so ``bound[j]``,
+  the number of cliques covering ``suffix[j:]``, caps a feasible subset of
+  it (at most one vertex per clique).  Without pair conflicts the pass is
+  skipped and ``bound[j] = len(suffix) - j``.  The residuals of three or
+  more vertices feed a greedy packing of disjoint ones: a feasible subset
+  of the suffix omits a vertex of each, so the node is abandoned when
+  ``len(chosen) + len(suffix) - packed`` cannot beat the incumbent.  A
+  residual that holds a dropped vertex is left out of the packing (and of
+  the local conflicts), because the drop already omitted that vertex and
+  counting it again would overstate the omissions.
 
 The searcher calls ``feasible`` only on a set grown by one vertex above all
 of its members from a set ``feasible`` has already accepted (or from the
@@ -52,6 +62,14 @@ def _blocker_rank(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def _link(conflicts: dict[int, int], pair: int) -> None:
+    """Record the two vertices of ``pair`` as conflicting with each other."""
+    low = pair & -pair
+    u, v = low.bit_length() - 1, (pair ^ low).bit_length() - 1
+    conflicts[u] = conflicts.get(u, 0) | 1 << v
+    conflicts[v] = conflicts.get(v, 0) | 1 << u
+
+
 def lex_first_maximum(
     candidates: Iterable[int],
     feasible: Callable[[int], bool],
@@ -70,7 +88,7 @@ def lex_first_maximum(
     never change the reported maximum.
     """
     order = sorted(candidates)
-    blockers: list[int] = []  # blockers of other than two vertices
+    blockers: list[int] = []  # blockers of other than two vertices, by size
     by_top: dict[int, list[int]] = {}  # the same, filed under their highest vertex
     conflicts: dict[int, int] = {}  # vertex -> mask of its pair conflicts
     known: set[int] = set()
@@ -80,10 +98,7 @@ def lex_first_maximum(
             return
         known.add(b)
         if b.bit_count() == 2:
-            low = b & -b
-            u, v = low.bit_length() - 1, (b ^ low).bit_length() - 1
-            conflicts[u] = conflicts.get(u, 0) | 1 << v
-            conflicts[v] = conflicts.get(v, 0) | 1 << u
+            _link(conflicts, b)
         else:
             insort(blockers, b, key=_blocker_rank)
             by_top.setdefault(b.bit_length() - 1, []).append(b)
@@ -102,26 +117,15 @@ def lex_first_maximum(
                 return True
         return False
 
-    def forced_exclusions(suffix_mask: int) -> int:
-        # Greedy count of disjoint blockers lying inside the suffix; any
-        # feasible subset of the suffix must omit a vertex from each.
-        used = 0
-        count = 0
-        for b in blockers:
-            if b & suffix_mask == b and not b & used:
-                count += 1
-                used |= b
-        return count
-
-    def cover_bounds(suffix: list[int]) -> list[int] | range:
+    def cover_bounds(suffix: list[int], local: dict[int, int]) -> list[int] | range:
         m = len(suffix)
-        if not conflicts:
+        if not conflicts and not local:
             return range(m, -1, -1)
         bound = [0] * (m + 1)
         cliques: list[int] = []
         for j in range(m - 1, -1, -1):
             v = suffix[j]
-            near = conflicts.get(v, 0)
+            near = conflicts.get(v, 0) | local.get(v, 0)
             for k, c in enumerate(cliques):
                 if c & near == c:
                     cliques[k] = c | 1 << v
@@ -133,11 +137,36 @@ def lex_first_maximum(
 
     def grow(chosen: list[int], mask: int, suffix: list[int]) -> None:
         nonlocal best_size, best
-        m = len(suffix)
-        bound = cover_bounds(suffix)
-        tails = [0] * (m + 1)
-        for j in range(m - 1, -1, -1):
-            tails[j] = tails[j + 1] | (1 << suffix[j])
+        # The one blocker scan of this node (see the module docstring).
+        outside = mask
+        for v in suffix:
+            outside |= 1 << v
+        outside = ~outside
+        dropped = 0
+        residuals = []
+        for b in blockers:
+            if not b & outside:
+                r = b & ~mask
+                if r.bit_count() == 1:
+                    dropped |= r
+                else:
+                    residuals.append(r)
+        local: dict[int, int] = {}
+        used = 0
+        packed = 0
+        for r in residuals:
+            if r & dropped:
+                continue
+            if r.bit_count() == 2:
+                _link(local, r)
+            elif not r & used:
+                packed += 1
+                used |= r
+        if dropped:
+            suffix = [v for v in suffix if not dropped >> v & 1]
+        if len(chosen) + len(suffix) - packed <= best_size:
+            return
+        bound = cover_bounds(suffix, local)
         for i, v in enumerate(suffix):
             if len(chosen) + bound[i] <= best_size:
                 break
@@ -157,13 +186,10 @@ def lex_first_maximum(
                 best_size = len(chosen)
                 best = tuple(chosen)
             rest = suffix[i + 1 :]
+            near |= local.get(v, 0)
             if near:
                 rest = [u for u in rest if not near >> u & 1]
-            if (
-                rest
-                and len(chosen) + bound[i + 1] > best_size
-                and len(chosen) + len(rest) - forced_exclusions(tails[i + 1] & ~near) > best_size
-            ):
+            if len(chosen) + min(bound[i + 1], len(rest)) > best_size:
                 grow(chosen, vmask, rest)
             chosen.pop()
 

@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import AbstractSet
 
 from .errors import GraphError
-from .graph import DistanceMatrix, Graph, all_pairs_distances, _check_vertex, _check_vertex_set
+from .graph import Graph, all_pairs_distances, _check_vertex, _check_vertex_set
 
 
 class VisibilityOracle:
@@ -273,18 +273,16 @@ def _mask(s: AbstractSet[int]) -> int:
 # -- public predicates ------------------------------------------------------
 
 
-def is_pair_visible(g: Graph, d: DistanceMatrix, x: int, y: int, obstacles: AbstractSet[int]) -> bool:
+def is_pair_visible(g: Graph, x: int, y: int, obstacles: AbstractSet[int]) -> bool:
     """True iff some shortest x,y-path avoids ``obstacles`` internally.
 
     x and y themselves may belong to the obstacle set; only internal path
-    vertices count.  ``d`` must be the distance matrix of ``g``.
+    vertices count.
     """
     _check_vertex(g, x)
     _check_vertex(g, y)
     if x == y:
         raise GraphError("pair visibility needs two distinct vertices")
-    if d.order != g.order:
-        raise GraphError("distance matrix does not match the graph")
     fs = _check_vertex_set(g, obstacles)
     return VisibilityOracle.for_graph(g).pair_visible(x, y, _mask(fs))
 

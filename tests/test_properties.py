@@ -4,7 +4,6 @@ import random
 
 from mutvis import (
     Graph,
-    all_pairs_distances,
     bypass_set,
     independence_number,
     is_mv_set,
@@ -45,27 +44,25 @@ def test_solver_witnesses_are_downward_closed(corpus, random_graphs):
 def test_pair_visibility_is_symmetric(random_graphs):
     rng = random.Random("symmetry")
     for g in random_graphs[:12]:
-        d = all_pairs_distances(g)
         for _ in range(8):
             obstacles = frozenset(rng.sample(range(g.order), rng.randrange(g.order)))
             for x in range(g.order):
                 for y in range(x + 1, g.order):
-                    assert is_pair_visible(g, d, x, y, obstacles) == is_pair_visible(
-                        g, d, y, x, obstacles
+                    assert is_pair_visible(g, x, y, obstacles) == is_pair_visible(
+                        g, y, x, obstacles
                     )
 
 
 def test_fewer_obstacles_never_hide_a_pair(random_graphs):
     rng = random.Random("monotone")
     for g in random_graphs[:12]:
-        d = all_pairs_distances(g)
         for _ in range(8):
             big = frozenset(rng.sample(range(g.order), rng.randrange(g.order)))
             small = frozenset(v for v in big if rng.random() < 0.5)
             for x in range(g.order):
                 for y in range(x + 1, g.order):
-                    if is_pair_visible(g, d, x, y, big):
-                        assert is_pair_visible(g, d, x, y, small)
+                    if is_pair_visible(g, x, y, big):
+                        assert is_pair_visible(g, x, y, small)
 
 
 def test_invariant_chain(corpus, random_graphs):

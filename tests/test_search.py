@@ -20,12 +20,12 @@ from mutvis.verify import random_connected_graph
 from mutvis.visibility import VisibilityOracle
 
 
-def _random_family(rng: random.Random, n: int) -> list[int]:
-    """Blockers of 2 to 4 vertices over range(n); the family is every set
-    that contains none of them, which is downward closed."""
+def _random_family(rng: random.Random, n: int, largest: int = 4) -> list[int]:
+    """Blockers of 2 to ``largest`` vertices over range(n); the family is
+    every set that contains none of them, which is downward closed."""
     blockers = []
     for _ in range(rng.randint(0, 2 * n)):
-        members = rng.sample(range(n), rng.randint(2, min(4, n)))
+        members = rng.sample(range(n), rng.randint(2, min(largest, n)))
         blockers.append(sum(1 << v for v in members))
     return blockers
 
@@ -40,17 +40,23 @@ def _brute_force(candidates: list[int], blockers: list[int]) -> tuple[int, tuple
     raise AssertionError("the empty set is always feasible")
 
 
-@pytest.mark.parametrize("mode", ["plain", "learn", "learn-superset", "seed-half", "seed-all"])
+@pytest.mark.parametrize(
+    "mode", ["plain", "learn", "learn-superset", "seed-half", "seed-all", "wide"]
+)
 def test_matches_brute_force_on_random_families(mode):
+    # "wide" seeds half the blockers and learns the rest, on larger orders
+    # and blockers of up to five vertices, so that residuals of one, two and
+    # three or more vertices all occur below the root.
+    wide = mode == "wide"
     rng = random.Random(f"search:{mode}")
     for _ in range(300):
-        n = rng.randint(2, 12)
-        blockers = _random_family(rng, n)
+        n = rng.randint(2, 13 if wide else 12)
+        blockers = _random_family(rng, n, 5 if wide else 4)
         candidates = rng.sample(range(n), rng.randint(0, n))
         rng.shuffle(candidates)
         if mode == "seed-all":
             seeds = blockers
-        elif mode == "seed-half":
+        elif mode == "seed-half" or wide:
             seeds = rng.sample(blockers, len(blockers) // 2)
         else:
             seeds = []
@@ -80,7 +86,7 @@ def test_matches_brute_force_on_random_families(mode):
         got = lex_first_maximum(
             iter(candidates),
             feasible,
-            learn=learn if mode.startswith("learn") else None,
+            learn=learn if mode.startswith("learn") or wide else None,
             seed_blockers=seeds,
         )
         assert got == _brute_force(candidates, blockers), (candidates, blockers)
@@ -99,6 +105,35 @@ def test_pair_conflicts_alone_give_an_independent_set():
     assert lex_first_maximum(range(6), feasible, seed_blockers=seeds) == (3, (1, 3, 5))
     for mask in calls:
         assert not any(s & mask == s for s in seeds)
+
+
+def test_a_chosen_vertex_turns_its_blockers_into_pair_conflicts():
+    # Every triple {0, a, b} is infeasible.  Once 0 is chosen, each residual
+    # {a, b} is a pair conflict of that subtree, so the clique cover bounds
+    # the subtree by one more vertex: after {0, 1} it cannot beat size 2.
+    seeds = [1 | 1 << a | 1 << b for a, b in combinations(range(1, 9), 2)]
+    with_zero = []
+
+    def feasible(mask):
+        if mask & 1:
+            with_zero.append(mask)
+        return not any(s & mask == s for s in seeds)
+
+    assert lex_first_maximum(range(9), feasible, seed_blockers=seeds) == (8, tuple(range(1, 9)))
+    assert with_zero == [0b1, 0b11]
+
+
+def test_a_residual_through_a_dropped_vertex_is_not_packed():
+    # 0, 1 and 2 are infeasible alone, so the root drops all three.  The
+    # residual {0, 1, 2} then has no vertex of the suffix to omit: packing it
+    # would count an omission that the drop already made, bound the root by
+    # 1 - 1 = 0 and lose {3}.
+    seeds = [0b1, 0b10, 0b100, 0b111]
+
+    def feasible(mask):
+        return not any(s & mask == s for s in seeds)
+
+    assert lex_first_maximum(range(4), feasible, seed_blockers=seeds) == (1, (3,))
 
 
 def _small_products():

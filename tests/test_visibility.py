@@ -8,7 +8,6 @@ import pytest
 import reference
 from mutvis import (
     GraphError,
-    all_pairs_distances,
     bypass_set,
     cartesian_product,
     is_bypass_vertex,
@@ -26,23 +25,21 @@ def test_pair_visibility_matches_path_enumeration():
     rng = random.Random(11)
     for i in range(20):
         g = random_connected_graph(4 + i % 5, 700 + i)
-        d = all_pairs_distances(g)
         slow = reference.floyd_warshall(g)
         for _ in range(10):
             obstacles = frozenset(
                 v for v in range(g.order) if rng.random() < 0.4
             )
             for x, y in combinations(range(g.order), 2):
-                assert is_pair_visible(g, d, x, y, obstacles) == reference.visible(
+                assert is_pair_visible(g, x, y, obstacles) == reference.visible(
                     g, obstacles, x, y, slow
                 )
 
 
 def test_pair_visibility_rejects_degenerate_pair():
     g = path(3)
-    d = all_pairs_distances(g)
     with pytest.raises(GraphError):
-        is_pair_visible(g, d, 1, 1, frozenset())
+        is_pair_visible(g, 1, 1, frozenset())
 
 
 def test_pair_visible_of_a_vertex_with_itself():
@@ -55,9 +52,8 @@ def test_pair_visible_of_a_vertex_with_itself():
 def test_endpoints_do_not_block_themselves():
     # Obstacles only matter as internal vertices.
     g = path(4)
-    d = all_pairs_distances(g)
-    assert is_pair_visible(g, d, 0, 3, frozenset({0, 3}))
-    assert not is_pair_visible(g, d, 0, 3, frozenset({1}))
+    assert is_pair_visible(g, 0, 3, frozenset({0, 3}))
+    assert not is_pair_visible(g, 0, 3, frozenset({1}))
 
 
 def test_total_sets_match_brute_force():
