@@ -225,6 +225,12 @@ def _cmd_info(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("cap_bp", "cap_n", "count", "max_n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"mutvis: --{flag.replace('_', '-')} must not be negative, got {value}",
+                  file=sys.stderr)
+            return 2
     try:
         if args.command == "compute":
             return _cmd_compute(args)

@@ -34,7 +34,7 @@ from .graph import (
     leaf_set,
     max_independent_set,
 )
-from .visibility import VisibilityOracle, bypass_set, is_mv_set, is_total_mv_set
+from .visibility import VisibilityOracle, bypass_set, inner_mask, is_mv_set, is_total_mv_set
 
 DEFAULT_BP_CAP = 30
 DEFAULT_N_CAP = 20
@@ -99,7 +99,11 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
     # only ever adds a higher candidate to a set it has accepted, and {u} is
     # total mutual-visible for a bypass u, so both the pair seeding and the
     # search use the incremental check tmv_grows; _validate re-checks the
-    # witness with the full tmv_holds.
+    # witness with the full tmv_holds.  When no candidate lies inside a
+    # geodesic (none is in inner_mask, like the leaves of a tree), every
+    # subset is total mutual-visible, so the check is constant True and no
+    # oracle is built: mut takes every candidate at the search's first
+    # leaf, and muit searches its seeded edges alone.
     _require_connected(g)
     candidates = sorted(bypass_set(g))
     if len(candidates) > cap:
@@ -110,17 +114,18 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
     if not candidates:
         value, witness = 0, ()
     else:
-        oracle = VisibilityOracle.for_graph(g)
+        if inner_mask(g) & sum(1 << u for u in candidates):
+            oracle = VisibilityOracle.for_graph(g)
+            feasible, learn = oracle.tmv_grows, oracle.minimal_tmv_blocker
+        else:
+            feasible, learn = (lambda mask: True), None
         pair_cores = []
         for u, v in combinations(candidates, 2):
             core = (1 << u) | (1 << v)
-            if (kind == "muit" and g.has_edge(u, v)) or not oracle.tmv_grows(core):
+            if (kind == "muit" and g.has_edge(u, v)) or not feasible(core):
                 pair_cores.append(core)
         value, witness = lex_first_maximum(
-            candidates,
-            oracle.tmv_grows,
-            learn=oracle.minimal_tmv_blocker,
-            seed_blockers=pair_cores,
+            candidates, feasible, learn=learn, seed_blockers=pair_cores
         )
     _validate(g, kind, value, witness)
     return InvariantReport(kind, value, witness, "pruned-search", g.name)

@@ -28,6 +28,19 @@ old member only the targets in ``interior(v)`` are searched.  Both rely on
 the rest being accepted already.  ``tmv_holds`` and ``mv_holds`` stay the
 full, non-incremental checks behind the public predicates, the learned
 blockers and the witness re-check.
+
+A vertex lies strictly inside some geodesic exactly when it has two
+non-adjacent neighbours (the two are at distance two, through it).  Every
+total-visibility check therefore drops the obstacles outside
+``inner_mask(g)``, such as leaves and other simplicial vertices: they block
+nothing, so the answers stay the same, and a set of them alone is total
+mutual-visible without an oracle being built.
+
+The oracle's distance levels come from one bitmask-frontier BFS per
+source; no distance matrix is built.  Their size grows with n times the
+sum of the eccentricities, so the oracle predicts it from the first BFS
+and refuses, with ``CapExceeded``, a graph whose masks would pass
+``LEVEL_MASK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -35,37 +48,66 @@ from __future__ import annotations
 from itertools import combinations
 from typing import AbstractSet
 
-from .errors import GraphError
-from .graph import Graph, all_pairs_distances, _check_vertex, _check_vertex_set
+from .errors import CapExceeded, GraphError
+from .graph import Graph, is_connected, _check_vertex, _check_vertex_set
+
+# Largest predicted size, in bytes, of an oracle's distance-level masks.
+LEVEL_MASK_LIMIT = 1 << 30
 
 
 class VisibilityOracle:
     """Per-graph bundle of the bitmask structures the visibility checks use.
 
-    Construction computes the distance matrix (hence requires a connected
-    graph), per-source distance-level masks, and adjacency masks.  All query
-    methods take obstacle sets as plain bitmasks; after construction the
-    instance only fills its cache of interior masks.
+    Construction computes per-source distance-level masks (hence requires a
+    connected graph, and refuses one whose masks would pass
+    ``LEVEL_MASK_LIMIT``), the adjacency masks and the inner-vertex mask.
+    All query methods take obstacle sets as plain bitmasks; after
+    construction the instance only fills its cache of interior masks.
     """
 
-    __slots__ = ("graph", "n", "dist", "adj", "full", "above", "levels", "_interior")
+    __slots__ = ("graph", "n", "adj", "inner", "full", "above", "levels", "_interior")
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.n = g.order
-        self.dist = all_pairs_distances(g)
+        self.n = n = g.order
         self.adj = g.adjacency_masks()
-        self.full = (1 << g.order) - 1
-        self.above = tuple((self.full >> (u + 1)) << (u + 1) for u in range(g.order))
-        levels = []
-        for u in range(g.order):
-            row = self.dist.row(u)
-            lv = [0] * (max(row) + 1)
-            for v, dv in enumerate(row):
-                lv[dv] |= 1 << v
-            levels.append(tuple(lv))
-        self.levels = tuple(levels)
+        self.inner = inner_mask(g)
+        self.full = (1 << n) - 1
+        self.above = tuple((self.full >> (u + 1)) << (u + 1) for u in range(n))
+        first = self._bfs_levels(0)
+        # d(u, w) <= d(u, 0) + d(0, w), so every source has at most
+        # 2 * ecc(0) + 1 levels, each an int of at most n bits: 4 bytes per
+        # 30 bits plus a 28-byte header, and an 8-byte tuple slot.
+        predicted = n * (2 * len(first) - 1) * (4 * (n // 30 + 1) + 36)
+        if predicted > LEVEL_MASK_LIMIT:
+            raise CapExceeded(
+                f"distance levels of a graph of order {n} would take about"
+                f" {predicted / 2**30:.1f} GiB, above the limit of"
+                f" {LEVEL_MASK_LIMIT / 2**30:g} GiB"
+            )
+        self.levels = (first, *(self._bfs_levels(u) for u in range(1, n)))
         self._interior: dict[int, int] = {}
+
+    def _bfs_levels(self, src: int) -> tuple[int, ...]:
+        """Masks of the vertices at distance 0, 1, 2, ... from src."""
+        adj = self.adj
+        reached = frontier = 1 << src
+        levels = [frontier]
+        while True:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            nxt &= ~reached
+            if not nxt:
+                break
+            reached |= nxt
+            levels.append(nxt)
+            frontier = nxt
+        if reached != self.full:
+            raise GraphError("visibility checks need a connected graph")
+        return tuple(levels)
 
     @classmethod
     def for_graph(cls, g: Graph) -> "VisibilityOracle":
@@ -116,28 +158,32 @@ class VisibilityOracle:
     def interior(self, v: int) -> int:
         """Mask over pairs, bit ``x * n + y``: the pairs x < y with v strictly
         inside some shortest x,y-path, d(x,v) + d(v,y) = d(x,y) and v not in
-        {x, y}.  Built on first use and cached."""
+        {x, y}.  Zero for a vertex outside ``inner``; otherwise built on
+        first use and cached."""
+        if not self.inner >> v & 1:
+            return 0
         pairs = self._interior.get(v)
         if pairs is None:
             lv = self.levels[v]
-            dv = self.dist.row(v)
-            drop = ~(1 << v)
             pairs = 0
-            for x in range(self.n):
-                if x == v:
-                    continue
-                dxv = dv[x]
-                lx = self.levels[x]
-                row = 0
-                for k in range(1, min(len(lv), len(lx) - dxv)):
-                    row |= lv[k] & lx[dxv + k]
-                pairs |= (row & self.above[x] & drop) << (x * self.n)
+            for dxv in range(1, len(lv)):
+                rem = lv[dxv]
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    x = low.bit_length() - 1
+                    lx = self.levels[x]
+                    row = 0
+                    for k in range(1, min(len(lv), len(lx) - dxv)):
+                        row |= lv[k] & lx[dxv + k]
+                    pairs |= (row & self.above[x]) << (x * self.n)
             self._interior[v] = pairs
         return pairs
 
     # -- set checks ------------------------------------------------------------
 
     def tmv_holds(self, obstacles: int) -> bool:
+        obstacles &= self.inner
         if obstacles == 0:
             return True
         for src in range(self.n - 1):
@@ -153,10 +199,14 @@ class VisibilityOracle:
         its geodesics; if no other member does, the pair stays visible past
         the whole set because {v} alone is total mutual-visible.  So only
         the pairs in ``interior(v)`` and in some other member's interior
-        mask are searched, one source at a time."""
-        if not obstacles & (obstacles - 1):
-            return True  # the empty set, or one bypass vertex
+        mask are searched, one source at a time.  A v outside ``inner``
+        lies inside no geodesic, so the set grows at once."""
         v = obstacles.bit_length() - 1
+        if v < 0 or not self.inner >> v & 1:
+            return True  # the empty set, or a v that blocks nothing
+        obstacles &= self.inner
+        if not obstacles & (obstacles - 1):
+            return True  # v alone among the obstacles: one bypass vertex
         rest = obstacles ^ (1 << v)
         shared = 0
         while rest:
@@ -177,6 +227,9 @@ class VisibilityOracle:
         return True
 
     def tmv_violation(self, obstacles: int) -> tuple[int, int] | None:
+        obstacles &= self.inner
+        if obstacles == 0:
+            return None
         for src in range(self.n - 1):
             y = self._first_blocked_target(src, obstacles, self.above[src])
             if y >= 0:
@@ -250,6 +303,8 @@ class VisibilityOracle:
         return core
 
     def minimal_tmv_blocker(self, obstacles: int) -> int:
+        # The shrink would drop every vertex outside inner anyway.
+        obstacles &= self.inner
         pair = self.tmv_violation(obstacles)
         if pair is None:
             return 0
@@ -287,23 +342,53 @@ def is_pair_visible(g: Graph, x: int, y: int, obstacles: AbstractSet[int]) -> bo
     return VisibilityOracle.for_graph(g).pair_visible(x, y, _mask(fs))
 
 
+def _inner_obstacles(g: Graph, x: AbstractSet[int]) -> int:
+    """The members of x that can block a pair, as a mask.  When there are
+    none the caller answers without an oracle, so connectivity, which the
+    oracle would check, is checked here."""
+    mask = _mask(_check_vertex_set(g, x)) & inner_mask(g)
+    if not mask and not is_connected(g):
+        raise GraphError("visibility checks need a connected graph")
+    return mask
+
+
 def is_total_mv_set(g: Graph, x: AbstractSet[int]) -> bool:
     """True iff every pair of vertices of g is visible past x."""
-    fs = _check_vertex_set(g, x)
-    return VisibilityOracle.for_graph(g).tmv_holds(_mask(fs))
+    mask = _inner_obstacles(g, x)
+    return not mask or VisibilityOracle.for_graph(g).tmv_holds(mask)
 
 
 def total_mv_violation(g: Graph, x: AbstractSet[int]) -> tuple[int, int] | None:
     """First pair (by vertex id) that x blocks, or None when x is total
     mutual-visible.  Handy when a failing check needs explaining."""
-    fs = _check_vertex_set(g, x)
-    return VisibilityOracle.for_graph(g).tmv_violation(_mask(fs))
+    mask = _inner_obstacles(g, x)
+    return VisibilityOracle.for_graph(g).tmv_violation(mask) if mask else None
 
 
 def is_mv_set(g: Graph, x: AbstractSet[int]) -> bool:
     """True iff every pair inside x is visible past x."""
     fs = _check_vertex_set(g, x)
     return VisibilityOracle.for_graph(g).mv_holds(_mask(fs))
+
+
+def inner_mask(g: Graph) -> int:
+    """Mask of the vertices with two non-adjacent neighbours: exactly the
+    vertices that lie strictly inside some geodesic, and so the only ones
+    that can block a pair."""
+    cached = g._cache.get("inner")
+    if cached is None:
+        adj = g.adjacency_masks()
+        cached = 0
+        for u, nbrs in enumerate(adj):
+            rem = nbrs
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                if nbrs & ~adj[low.bit_length() - 1] & ~low:
+                    cached |= 1 << u
+                    break
+        g._cache["inner"] = cached
+    return cached
 
 
 def is_bypass_vertex(g: Graph, u: int) -> bool:

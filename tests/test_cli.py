@@ -4,7 +4,10 @@ import csv
 import io
 import json
 
+import pytest
+
 import mutvis.verify
+import mutvis.visibility
 from mutvis import parse_graph_file
 from mutvis.cli import main
 
@@ -130,6 +133,42 @@ def test_compute_oversized_graph_file_exit_2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "--graph", f"@{f}", "--invariant", "bp", "--stable")
     assert code == 0
     assert json.loads(out)["value"] == 2
+
+
+def test_compute_mut_of_a_long_path(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--graph", "path:5000", "--invariant", "mut", "--witness", "--stable"
+    )
+    assert code == 0 and not err
+    assert json.loads(out)["witness"] == [0, 4999]
+
+
+def test_compute_oracle_memory_limit_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(mutvis.visibility, "LEVEL_MASK_LIMIT", 10_000)
+    code, out, err = run_cli(
+        capsys, "compute", "--graph", "cp(path:2,path:30)", "--invariant", "mut"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("mutvis: ") and err.count("\n") == 1
+    assert "limit of" in err and "order 60" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--count", "-1"),
+        ("verify", "--max-n", "-1"),
+        ("verify", "--cap-bp", "-1"),
+        ("verify", "--cap-n", "-2"),
+        ("compute", "--graph", "path:3", "--invariant", "mut", "--cap-bp", "-1"),
+        ("compute", "--graph", "path:3", "--invariant", "mu", "--cap-n", "-1"),
+    ],
+)
+def test_negative_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    flag, value = argv[-2:]
+    assert err == f"mutvis: {flag} must not be negative, got {value}\n"
 
 
 def test_compute_disconnected_exit_1(tmp_path, capsys):

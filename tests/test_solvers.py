@@ -167,6 +167,25 @@ def test_empty_bypass_set_builds_no_oracle(monkeypatch):
         assert (report.value, report.witness) == (0, ())
 
 
+def test_simplicial_candidates_build_no_oracle(monkeypatch):
+    # No bypass vertex of a path or a tree lies inside a geodesic, so every
+    # subset of them is total mutual-visible and no oracle is needed.
+    def refuse(self, g):
+        raise AssertionError("oracle built although no candidate can block")
+
+    monkeypatch.setattr(mutvis.visibility.VisibilityOracle, "__init__", refuse)
+    g = path(5000)
+    for fn in (max_total_mv, max_independent_total_mv):
+        report = fn(g)
+        assert (report.value, report.witness) == (2, (0, 4999))
+    tree = graph_of(build("randomtree:1200,1000"))
+    assert is_total_mv_set(tree, bypass_set(tree))
+    # The leaves of a tree on three or more vertices are pairwise
+    # non-adjacent, so muit takes them all.
+    tree = random_tree(30, 4)
+    assert max_independent_total_mv(tree).witness == tuple(sorted(bypass_set(tree)))
+
+
 def test_bypass_report():
     report = bypass_report(theta((2, 2, 4)))
     assert report.kind == "bp"

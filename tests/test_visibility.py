@@ -5,8 +5,11 @@ from itertools import combinations
 
 import pytest
 
+import mutvis.visibility
 import reference
 from mutvis import (
+    CapExceeded,
+    Graph,
     GraphError,
     bypass_set,
     cartesian_product,
@@ -16,9 +19,11 @@ from mutvis import (
     is_total_mv_set,
     total_mv_violation,
 )
-from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, star, theta
+from mutvis.generators import (
+    biclique, complete, cycle, fig1, g_m, path, petersen, random_tree, star, theta,
+)
 from mutvis.verify import random_connected_graph
-from mutvis.visibility import VisibilityOracle
+from mutvis.visibility import VisibilityOracle, inner_mask
 
 
 def test_pair_visibility_matches_path_enumeration():
@@ -136,14 +141,91 @@ def _grow_graphs():
 
 
 def test_interior_masks_match_geodesics():
-    for g in _grow_graphs()[:10]:
+    for g in _grow_graphs()[:10] + [path(4), star(3), random_tree(9, 5)]:
         oracle = VisibilityOracle.for_graph(g)
         slow = reference.floyd_warshall(g)
         for v in range(g.order):
             inner = oracle.interior(v)
+            anywhere = False
             for x, y in combinations(range(g.order), 2):
                 inside = any(v in p[1:-1] for p in reference.all_shortest_paths(g, x, y, slow))
                 assert bool(inner >> (x * g.order + y) & 1) == inside, (g.name, v, x, y)
+                anywhere |= inside
+            assert bool(inner_mask(g) >> v & 1) == anywhere == (inner != 0), (g.name, v)
+
+
+def test_levels_match_floyd_warshall():
+    for g in _grow_graphs():
+        oracle = VisibilityOracle(g)
+        slow = reference.floyd_warshall(g)
+        for u in range(g.order):
+            want = [0] * (max(slow[u]) + 1)
+            for v, d in enumerate(slow[u]):
+                want[d] |= 1 << v
+            assert oracle.levels[u] == tuple(want), (g.name, u)
+
+
+def test_oracle_refuses_disconnected_graphs():
+    for g in (Graph(4, [(0, 1), (2, 3)]), Graph(3, [(1, 2)]), Graph(2)):
+        with pytest.raises(GraphError, match="connected"):
+            VisibilityOracle(g)
+        with pytest.raises(GraphError, match="connected"):
+            is_total_mv_set(g, {0})
+    # An obstacle set that can block nothing still needs a connected graph.
+    with pytest.raises(GraphError, match="connected"):
+        is_total_mv_set(Graph(4, [(0, 1), (2, 3)]), frozenset())
+    with pytest.raises(GraphError, match="connected"):
+        total_mv_violation(Graph(3, [(0, 1)]), {2})
+
+
+def test_oracle_refuses_level_masks_above_the_limit(monkeypatch):
+    g = path(40)
+    VisibilityOracle(g)
+    # Order 40, ecc(0) = 39: 40 sources of at most 79 levels, 44 bytes each.
+    monkeypatch.setattr(mutvis.visibility, "LEVEL_MASK_LIMIT", 40 * 79 * 44 - 1)
+    with pytest.raises(CapExceeded) as err:
+        VisibilityOracle(g)
+    message = str(err.value)
+    assert "order 40" in message and "limit of" in message and "\n" not in message
+    VisibilityOracle(path(39))
+
+
+def _filter_graphs():
+    graphs = [random_tree(n, 300 + n) for n in range(2, 12)]
+    graphs += [g_m(2), g_m(3), star(4), path(6), theta((1, 3))]
+    for i in range(8):
+        # A random graph with pendant paths hung on it.
+        g = random_connected_graph(4 + i % 4, 2100 + i)
+        edges = g.edges() + [(i % g.order, g.order), (g.order, g.order + 1), (0, g.order + 2)]
+        graphs.append(Graph(g.order + 3, edges, name=f"pendant:{i}"))
+    return graphs
+
+
+def test_inner_filter_keeps_total_checks_exact():
+    # The filtered checks against the path-enumeration reference and against
+    # an oracle that keeps every obstacle.
+    rng = random.Random(19)
+    for g in _filter_graphs():
+        slow = reference.floyd_warshall(g)
+        oracle = VisibilityOracle.for_graph(g)
+        unfiltered = VisibilityOracle(g)
+        unfiltered.inner = unfiltered.full
+        bp = sorted(bypass_set(g))
+        subsets = [frozenset(bp), frozenset(range(g.order))]
+        subsets += [frozenset(v for v in range(g.order) if rng.random() < 0.3) for _ in range(10)]
+        subsets += [frozenset(u for u in bp if rng.random() < 0.5) for _ in range(6)]
+        for s in subsets:
+            mask = sum(1 << v for v in s)
+            want = reference.is_tmv(g, s, slow)
+            assert is_total_mv_set(g, s) == want, (g.name, sorted(s))
+            pair = total_mv_violation(g, s)
+            assert pair == unfiltered.tmv_violation(mask), (g.name, sorted(s))
+            assert (pair is None) == want
+            if pair is not None:
+                assert not reference.visible(g, s, *pair, slow)
+            core = oracle.minimal_tmv_blocker(mask)
+            assert core == unfiltered.minimal_tmv_blocker(mask), (g.name, sorted(s))
+            assert oracle.tmv_holds(core) == (core == 0)
 
 
 def test_grow_check_matches_brute_force():
