@@ -44,10 +44,10 @@ empty set).  A membership test may rely on that, and check only what the
 new vertex can break; the blocker lookup above relies on it too, so every
 seeded or learned blocker must be infeasible.
 
-Blockers may be seeded up front (e.g. edges, when independence is part of
-the family, or every infeasible pair of candidates) or learned during the
-search from a ``learn`` callback that shrinks a failed set to an infeasible
-core.
+Blockers may be seeded up front (edges, when independence is part of the
+family, or the distance-two cores of total mutual-visibility) or learned
+from a ``learn`` callback that shrinks a failed set to an infeasible core.
+When every infeasible set holds a seed, ``feasible`` may be constant True.
 """
 
 from __future__ import annotations

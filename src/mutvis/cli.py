@@ -225,6 +225,10 @@ def _cmd_info(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, value in vars(args).items():
+        if value == []:  # argparse reads "--graph=--" as an empty list
+            print(f"mutvis: --{flag.replace('_', '-')} needs a value", file=sys.stderr)
+            return 2
     for flag in ("cap_bp", "cap_n", "count", "max_n"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:

@@ -5,11 +5,11 @@ downward-closed family:
 
 * largest total mutual-visibility set, searched over bypass vertices only
   (a non-bypass vertex is the unique middle of some geodesic pair, so any
-  set containing it hides that pair), with every infeasible pair of
-  candidates seeded as a conflict;
+  set containing it hides that pair), with every distance-two core inside
+  the candidates seeded as a blocker;
 * largest mutual-visibility set, searched over all vertices;
 * largest independent total mutual-visibility set, with edges inside the
-  candidate list seeded as conflicts as well.
+  candidate list seeded as blockers as well.
 
 ``naive_oracle`` recomputes the same numbers by scanning every subset with
 the definitional checkers, no candidate restriction and no pruning.  It is
@@ -34,7 +34,7 @@ from .graph import (
     leaf_set,
     max_independent_set,
 )
-from .visibility import VisibilityOracle, bypass_set, inner_mask, is_mv_set, is_total_mv_set
+from .visibility import VisibilityOracle, bypass_set, distance_two_cores, is_mv_set, is_total_mv_set
 
 DEFAULT_BP_CAP = 30
 DEFAULT_N_CAP = 20
@@ -92,18 +92,12 @@ def _validate(g: Graph, kind: str, value: int, witness: tuple[int, ...]) -> None
 
 
 def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
-    # Shared by mut and muit: the candidates are the bypass vertices, and
-    # every pair of them that cannot be in one set (a pair that is not total
-    # mutual-visible, or for muit an edge) is seeded as a conflict, which
-    # gives the searcher its clique-cover bound from the start.  The search
-    # only ever adds a higher candidate to a set it has accepted, and {u} is
-    # total mutual-visible for a bypass u, so both the pair seeding and the
-    # search use the incremental check tmv_grows; _validate re-checks the
-    # witness with the full tmv_holds.  When no candidate lies inside a
-    # geodesic (none is in inner_mask, like the leaves of a tree), every
-    # subset is total mutual-visible, so the check is constant True and no
-    # oracle is built: mut takes every candidate at the search's first
-    # leaf, and muit searches its seeded edges alone.
+    # Shared by mut and muit.  The candidates are the bypass vertices, and a
+    # set of them is total mutual-visible exactly when it holds no
+    # distance-two core (see distance_two_cores).  So the cores inside the
+    # candidates, and for muit the candidate edges, are seeded as blockers
+    # and describe the family completely: the search needs no membership
+    # test and learns nothing.  _validate re-checks the witness by BFS.
     _require_connected(g)
     candidates = sorted(bypass_set(g))
     if len(candidates) > cap:
@@ -111,22 +105,11 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
             f"{len(candidates)} bypass candidates exceed the search cap {cap};"
             " raise it with --cap-bp"
         )
-    if not candidates:
-        value, witness = 0, ()
-    else:
-        if inner_mask(g) & sum(1 << u for u in candidates):
-            oracle = VisibilityOracle.for_graph(g)
-            feasible, learn = oracle.tmv_grows, oracle.minimal_tmv_blocker
-        else:
-            feasible, learn = (lambda mask: True), None
-        pair_cores = []
-        for u, v in combinations(candidates, 2):
-            core = (1 << u) | (1 << v)
-            if (kind == "muit" and g.has_edge(u, v)) or not feasible(core):
-                pair_cores.append(core)
-        value, witness = lex_first_maximum(
-            candidates, feasible, learn=learn, seed_blockers=pair_cores
-        )
+    within = sum(1 << u for u in candidates)
+    seeds = distance_two_cores(g, within)
+    if kind == "muit":
+        seeds.update((1 << u) | (1 << v) for u, v in g.edges() if within >> u & within >> v & 1)
+    value, witness = lex_first_maximum(candidates, lambda mask: True, seed_blockers=seeds)
     _validate(g, kind, value, witness)
     return InvariantReport(kind, value, witness, "pruned-search", g.name)
 
@@ -134,10 +117,9 @@ def _total_search(g: Graph, kind: str, cap: int) -> InvariantReport:
 def max_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> InvariantReport:
     """Largest total mutual-visibility set of a connected graph.
 
-    Candidates are the bypass vertices; the search prunes by downward
-    closure, seeded pair conflicts, learned conflict cores, and a
-    clique-cover bound.  Raises CapExceeded when the graph has more than
-    ``cap`` bypass vertices.
+    Candidates are the bypass vertices; the search prunes by the seeded
+    distance-two cores and a clique-cover bound.  Raises CapExceeded when
+    the graph has more than ``cap`` bypass vertices.
     """
     return _total_search(g, "mut", cap)
 

@@ -181,9 +181,14 @@ def _int_params(tail: str, whole: str) -> list[int]:
     out = []
     for piece in tail.split(","):
         piece = piece.strip()
+        # ASCII digits only, as in graph files: int() alone also takes
+        # '1_000', '+3' and '٣'.  A '-' stays, for the families' own messages.
+        digits = piece.removeprefix("-")
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(piece)
             out.append(int(piece))
-        except ValueError:
+        except ValueError:  # also a number past int()'s digit limit
             raise SpecError(f"bad integer parameter {piece!r} in {whole!r}") from None
     return out
 
@@ -205,11 +210,12 @@ def _is_count(field: str) -> bool:
 
 def parse_graph_file(path: str | os.PathLike) -> Graph:
     """Read an edge-list file; the graph is named by its ``# graph:``
-    header when present, else by the file's base name."""
+    header when present, else by the file's base name.  A byte that is not
+    UTF-8 reads as U+FFFD, so a count or an edge holding one is refused."""
     name = os.path.basename(os.fspath(path))
     order: int | None = None
     edges: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):

@@ -14,20 +14,22 @@ shortest path whose internal vertices avoid the obstacles.  A pair is
 visible exactly when that restricted length equals the true distance.
 Pair visibility is the same search with a single target.
 
-The exact search only ever grows a total mutual-visible set of bypass
-vertices by one higher vertex v, so it uses the incremental check
-``tmv_grows``.  Each candidate v gets, on first use, its *interior mask*:
-one n*n-bit integer holding, at bit x*n + y, the pairs x < y with v
-strictly inside some shortest x,y-path.  A pair can break only when v and
-another member both lie in its interval (a bypass vertex alone hides
-nothing), so only those pairs are searched.  The ``mu`` search grows a
-mutual-visibility set the same way and uses ``mv_grows``: one search from
-v covers the new pairs, and an old pair, visible past the rest before, can
-break only when v lies strictly inside one of its geodesics, so from each
-old member only the targets in ``interior(v)`` are searched.  Both rely on
-the rest being accepted already.  ``tmv_holds`` and ``mv_holds`` stay the
-full, non-incremental checks behind the public predicates, the learned
-blockers and the witness re-check.
+Total mutual-visibility is local: a set is total mutual-visible exactly
+when it holds no *distance-two core*, the common neighbourhood of a pair at
+distance two (``distance_two_cores``).  The exact ``mut`` and ``muit``
+searches seed those cores and run no BFS; the public predicates and the
+witness re-check keep the BFS route, so the re-check stays independent of
+that lemma.
+
+The ``mu`` search only ever grows a mutual-visibility set by one higher
+vertex v, so it uses the incremental check ``mv_grows``.  Each vertex v
+gets, on first use, its *interior mask*: one n*n-bit integer holding, at
+bit x*n + y, the pairs x < y with v strictly inside some shortest
+x,y-path.  One search from v covers the new pairs, and an old pair,
+visible past the rest before, can break only when v lies strictly inside
+one of its geodesics, so from each old member only the targets in
+``interior(v)`` are searched.  ``tmv_holds`` and ``mv_holds`` stay the
+full, non-incremental checks.
 
 A vertex lies strictly inside some geodesic exactly when it has two
 non-adjacent neighbours (the two are at distance two, through it).  Every
@@ -191,41 +193,6 @@ class VisibilityOracle:
                 return False
         return True
 
-    def tmv_grows(self, obstacles: int) -> bool:
-        """tmv_holds for a set grown by its highest vertex v, given that the
-        rest is total mutual-visible and every member is a bypass vertex.
-
-        Adding v can only block a pair when v lies strictly inside one of
-        its geodesics; if no other member does, the pair stays visible past
-        the whole set because {v} alone is total mutual-visible.  So only
-        the pairs in ``interior(v)`` and in some other member's interior
-        mask are searched, one source at a time.  A v outside ``inner``
-        lies inside no geodesic, so the set grows at once."""
-        v = obstacles.bit_length() - 1
-        if v < 0 or not self.inner >> v & 1:
-            return True  # the empty set, or a v that blocks nothing
-        obstacles &= self.inner
-        if not obstacles & (obstacles - 1):
-            return True  # v alone among the obstacles: one bypass vertex
-        rest = obstacles ^ (1 << v)
-        shared = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            shared |= self.interior(low.bit_length() - 1)
-        pairs = self.interior(v) & shared
-        n = self.n
-        src = 0
-        while pairs:
-            skip = ((pairs & -pairs).bit_length() - 1) // n
-            src += skip
-            pairs >>= skip * n
-            if self._first_blocked_target(src, obstacles, pairs & self.full) >= 0:
-                return False
-            pairs >>= n
-            src += 1
-        return True
-
     def tmv_violation(self, obstacles: int) -> tuple[int, int] | None:
         obstacles &= self.inner
         if obstacles == 0:
@@ -302,6 +269,7 @@ class VisibilityOracle:
                 core &= ~low
         return core
 
+    # No caller in the package; perfbench's tracer patches it by name.
     def minimal_tmv_blocker(self, obstacles: int) -> int:
         # The shrink would drop every vertex outside inner anyway.
         obstacles &= self.inner
@@ -389,6 +357,46 @@ def inner_mask(g: Graph) -> int:
                     break
         g._cache["inner"] = cached
     return cached
+
+
+def distance_two_cores(g: Graph, within: int) -> set[int]:
+    """The distinct cores C(a, b) = N(a) & N(b) of the pairs a, b at
+    distance two that lie inside the vertex mask ``within``, as masks.
+
+    Lemma: in a connected graph, X is total mutual-visible exactly when it
+    holds no core, that is, when every pair at distance two has a common
+    neighbour outside X.  Such a pair's geodesics are the paths through its
+    core, so the condition is necessary.  Conversely, let p_i be the first
+    internal vertex in X of a shortest x,y-path.  p_(i-1) and p_(i+1) are at
+    distance two, so they have a common neighbour w outside X; swapping p_i
+    for w keeps the path shortest and moves its first internal vertex in X
+    further along.  Repeating ends in a shortest path that X does not block.
+
+    The singleton cores are exactly the non-bypass vertices.  Every core
+    holds a common neighbour w of a and b, so the pass runs over the
+    non-adjacent neighbour pairs of each w in ``within`` alone and keeps a
+    core only from its lowest vertex: |within| * maxdeg^2 steps, not n *
+    maxdeg^2.
+    """
+    adj = g.adjacency_masks()
+    cores: set[int] = set()
+    rem = within
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        rest = adj[low.bit_length() - 1]
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            nbrs = adj[a.bit_length() - 1]
+            far = rest & ~nbrs
+            while far:
+                b = far & -far
+                far ^= b
+                core = nbrs & adj[b.bit_length() - 1]
+                if not core & ~within and not core & (low - 1):
+                    cores.add(core)
+    return cores
 
 
 def is_bypass_vertex(g: Graph, u: int) -> bool:

@@ -5,17 +5,18 @@ from itertools import combinations
 
 import pytest
 
+import mutvis.solvers
+import reference
 from mutvis import (
     bypass_set,
     cartesian_product,
-    is_total_mv_set,
     max_independent_total_mv,
     max_mv,
     max_total_mv,
     naive_oracle,
 )
 from mutvis._search import lex_first_maximum
-from mutvis.generators import complete, cycle, path, star
+from mutvis.generators import biclique, complete, cycle, path, star
 from mutvis.verify import random_connected_graph
 from mutvis.visibility import VisibilityOracle
 
@@ -160,24 +161,36 @@ def test_total_solvers_match_the_oracle_on_small_products():
             assert (r.value, r.witness) == (o.value, o.witness), (g.name, kind)
 
 
-def test_total_solvers_grow_only_accepted_bypass_sets(monkeypatch):
-    # tmv_grows relies on the rest of its set being total mutual-visible and
-    # made of bypass vertices; hold the solvers to that on every call.
-    grows = VisibilityOracle.tmv_grows
+def test_total_solvers_seed_only_blocked_bypass_cores(monkeypatch):
+    # Every blocker the total solvers seed lies in the bypass set and is not
+    # total mutual-visible (or, for muit, is a candidate edge), so the seeds
+    # prune nothing feasible; the solvers then ask no membership question.
+    search = mutvis.solvers.lex_first_maximum
+    seeded = []
 
-    def checked(self, mask):
-        v = mask.bit_length() - 1
-        rest = frozenset(u for u in range(self.n) if mask >> u & 1 and u != v)
-        assert rest | {v} <= bypass_set(self.graph)
-        assert is_total_mv_set(self.graph, rest)
-        return grows(self, mask)
+    def checked(candidates, feasible, learn=None, seed_blockers=()):
+        seeds = list(seed_blockers)
+        seeded.append(seeds)
+        assert learn is None
+        return search(candidates, feasible, learn, seeds)
 
-    monkeypatch.setattr(VisibilityOracle, "tmv_grows", checked)
-    for g in _small_products()[:6]:
+    monkeypatch.setattr(mutvis.solvers, "lex_first_maximum", checked)
+    sizes = set()
+    extra = [cartesian_product(biclique(2, 3), path(2)).graph, biclique(3, 3)]
+    for g in _small_products()[:6] + extra:
+        slow = reference.floyd_warshall(g)
+        bp = bypass_set(g)
         for kind, solver in (("mut", max_total_mv), ("muit", max_independent_total_mv)):
             o = naive_oracle(g, kind)
             r = solver(g)
             assert (r.value, r.witness) == (o.value, o.witness), (g.name, kind)
+            for core in seeded.pop():
+                s = {u for u in range(g.order) if core >> u & 1}
+                assert s <= bp, (g.name, kind, s)
+                edge = kind == "muit" and len(s) == 2 and g.has_edge(*s)
+                assert edge or not reference.is_tmv(g, s, slow), (g.name, kind, s)
+                sizes.add(len(s))
+    assert {2, 3} <= sizes
 
 
 def test_mu_solver_grows_only_accepted_sets(monkeypatch):

@@ -124,6 +124,47 @@ def test_mu_lex_first_witnesses_are_pinned(spec, value, witness):
     assert (report.value, report.witness) == (value, witness)
 
 
+_GM3 = (
+    0, 5, 6, 7, 8, 60, 65, 66, 67, 68, 72, 77, 78, 79, 80, 84, 89, 90, 91, 92,
+    96, 101, 102, 103, 104, 117, 118, 119, 129, 130, 131, 141, 142, 143,
+)
+_GM4 = (
+    0, 6, 7, 8, 9, 10, 90, 96, 97, 98, 99, 100, 105, 111, 112, 113, 114, 115,
+    120, 126, 127, 128, 129, 130, 135, 141, 142, 143, 144, 145, 150, 156, 157,
+    158, 159, 160, 176, 177, 178, 179, 191, 192, 193, 194, 206, 207, 208, 209,
+    221, 222, 223, 224,
+)
+_B3433 = (18, 19, 21, 22, 24, 25, 27, 28, 30, 32, 33, 35, 37, 38, 40, 41)
+_B3444 = (
+    24, 25, 26, 28, 29, 30, 32, 33, 35, 36, 37, 39, 40, 42, 43, 44, 46, 47, 49,
+    50, 51, 53, 54, 55,
+)
+_B3444_INDEPENDENT = (24, 25, 26, 32, 33, 34, 40, 41, 42, 52, 53, 54)
+
+
+@pytest.mark.parametrize(
+    "spec, cap, kind, value, witness",
+    [
+        ("cp(gm:3,gm:3)", 200, "mut", 34, _GM3),
+        ("cp(gm:3,gm:3)", 200, "muit", 34, _GM3),
+        ("cp(gm:4,gm:4)", 200, "mut", 52, _GM4),
+        ("cp(gm:4,gm:4)", 200, "muit", 52, _GM4),
+        ("cp(biclique:3,4,biclique:3,3)", 64, "mut", 16, _B3433),
+        ("cp(biclique:3,4,biclique:3,3)", 64, "muit", 8, (0, 6, 19, 20, 25, 26, 31, 32)),
+        ("cp(biclique:3,4,biclique:4,4)", 64, "mut", 24, _B3444),
+        ("cp(biclique:3,4,biclique:4,4)", 64, "muit", 12, _B3444_INDEPENDENT),
+    ],
+)
+def test_total_lex_first_witnesses_are_pinned(spec, cap, kind, value, witness):
+    # Products of order 42 to 225, past the exhaustive oracle and the
+    # default --cap-bp.  The pins come from the search that checked each
+    # grown set by breadth-first search, independently of the distance-two
+    # cores the solvers seed now.
+    solver = max_total_mv if kind == "mut" else max_independent_total_mv
+    report = solver(graph_of(build(spec)), cap=cap)
+    assert (report.value, report.witness) == (value, witness)
+
+
 def test_solver_determinism():
     g = random_connected_graph(8, 77)
     first = max_total_mv(g)

@@ -51,6 +51,9 @@ def test_build_rejects_malformed_expressions():
         "cp(path:2",
         "cp(2,2,path:2)",
         "theta",
+        "path:1_000",
+        "path:\u0663",
+        "path:+3",
     ):
         with pytest.raises(SpecError):
             build(text)

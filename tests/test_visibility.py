@@ -23,7 +23,7 @@ from mutvis.generators import (
     biclique, complete, cycle, fig1, g_m, path, petersen, random_tree, star, theta,
 )
 from mutvis.verify import random_connected_graph
-from mutvis.visibility import VisibilityOracle, inner_mask
+from mutvis.visibility import VisibilityOracle, distance_two_cores, inner_mask
 
 
 def test_pair_visibility_matches_path_enumeration():
@@ -228,25 +228,23 @@ def test_inner_filter_keeps_total_checks_exact():
             assert oracle.tmv_holds(core) == (core == 0)
 
 
-def test_grow_check_matches_brute_force():
-    # Every total mutual-visible base of bypass vertices up to size 3, grown
-    # by every larger bypass vertex, against the path-enumeration reference.
+def test_core_freeness_matches_brute_force():
+    # The distance-two lemma on every subset of up to four vertices, bypass
+    # or not: a set holds no core exactly when it is total mutual-visible.
+    # The singleton cores are the non-bypass vertices.
     outcomes = set()
     for g in _grow_graphs():
-        oracle = VisibilityOracle.for_graph(g)
         slow = reference.floyd_warshall(g)
-        bp = sorted(reference.bypass_vertices(g, slow))
-        for r in range(4):
-            for base in combinations(bp, r):
-                if not reference.is_tmv(g, base, slow):
-                    continue
-                mask = sum(1 << u for u in base)
-                for v in bp:
-                    if base and v <= base[-1]:
-                        continue
-                    want = reference.is_tmv(g, {*base, v}, slow)
-                    assert oracle.tmv_grows(mask | 1 << v) == want, (g.name, base, v)
-                    outcomes.add(want)
+        cores = distance_two_cores(g, (1 << g.order) - 1)
+        singles = {c.bit_length() - 1 for c in cores if c.bit_count() == 1}
+        assert singles == set(range(g.order)) - reference.bypass_vertices(g, slow), g.name
+        for r in range(5):
+            for s in combinations(range(g.order), r):
+                mask = sum(1 << u for u in s)
+                want = reference.is_tmv(g, s, slow)
+                assert (not distance_two_cores(g, mask)) == want, (g.name, s)
+                assert (not any(c & mask == c for c in cores)) == want, (g.name, s)
+                outcomes.add(want)
     assert outcomes == {True, False}
 
 
