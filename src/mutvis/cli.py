@@ -243,10 +243,7 @@ def main(argv=None) -> int:
         if args.command == "export":
             return _cmd_export(args)
         return _cmd_info(args)
-    except (SpecError, GraphError) as exc:
-        print(f"mutvis: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecError, GraphError, OSError) as exc:
         print(f"mutvis: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

@@ -93,11 +93,6 @@ class Graph:
         return f"Graph(order={self.order}, edges={self._edge_count}{label})"
 
 
-def build_graph(order: int, edges: Iterable[tuple[int, int]] = (), name: str = "") -> Graph:
-    """Validate and construct a graph from an explicit edge list."""
-    return Graph(order, edges, name)
-
-
 class DistanceMatrix:
     """All-pairs shortest-path distances of a connected graph, read-only."""
 

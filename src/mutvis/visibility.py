@@ -19,7 +19,9 @@ when it holds no *distance-two core*, the common neighbourhood of a pair at
 distance two (``distance_two_cores``).  The exact ``mut`` and ``muit``
 searches seed those cores and run no BFS; the public predicates and the
 witness re-check keep the BFS route, so the re-check stays independent of
-that lemma.
+that lemma.  The bypass vertices are the vertices that are not a singleton
+core; ``is_bypass_vertex`` finds them by the same walk over neighbour pairs
+(``_pair_cores``), the only code here that walks them.
 
 The ``mu`` search only ever grows a mutual-visibility set by one higher
 vertex v, so it uses the incremental check ``mv_grows``.  Each vertex v
@@ -36,7 +38,10 @@ non-adjacent neighbours (the two are at distance two, through it).  Every
 total-visibility check therefore drops the obstacles outside
 ``inner_mask(g)``, such as leaves and other simplicial vertices: they block
 nothing, so the answers stay the same, and a set of them alone is total
-mutual-visible without an oracle being built.
+mutual-visible without an oracle being built.  ``inner_mask`` keeps its own
+loop over single neighbours rather than the pair walk: it filters the
+obstacles of the BFS checks, the witness re-check among them, and that
+re-check must not share code with the cores the search is seeded from.
 
 The oracle's distance levels come from one bitmask-frontier BFS per
 source; no distance matrix is built.  Their size grows with n times the
@@ -47,8 +52,7 @@ and refuses, with ``CapExceeded``, a graph whose masks would pass
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import AbstractSet
+from typing import AbstractSet, Iterator
 
 from .errors import CapExceeded, GraphError
 from .graph import Graph, is_connected, _check_vertex, _check_vertex_set
@@ -185,13 +189,7 @@ class VisibilityOracle:
     # -- set checks ------------------------------------------------------------
 
     def tmv_holds(self, obstacles: int) -> bool:
-        obstacles &= self.inner
-        if obstacles == 0:
-            return True
-        for src in range(self.n - 1):
-            if self._first_blocked_target(src, obstacles, self.above[src]) >= 0:
-                return False
-        return True
+        return self.tmv_violation(obstacles) is None
 
     def tmv_violation(self, obstacles: int) -> tuple[int, int] | None:
         obstacles &= self.inner
@@ -204,17 +202,7 @@ class VisibilityOracle:
         return None
 
     def mv_holds(self, members: int) -> bool:
-        rem = members
-        while rem:
-            low = rem & -rem
-            rem &= rem - 1
-            src = low.bit_length() - 1
-            targets = members & self.above[src]
-            if not targets:
-                break
-            if self._first_blocked_target(src, members, targets) >= 0:
-                return False
-        return True
+        return self.mv_violation(members) is None
 
     def mv_grows(self, members: int) -> bool:
         """mv_holds for a set grown by its highest vertex v, given that the
@@ -359,6 +347,21 @@ def inner_mask(g: Graph) -> int:
     return cached
 
 
+def _pair_cores(adj: tuple[int, ...], w: int) -> Iterator[int]:
+    """Yield N(a) & N(b) for each non-adjacent pair a, b of neighbours of w:
+    the cores of the pairs at distance two through w."""
+    rest = adj[w]
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        nbrs = adj[a.bit_length() - 1]
+        far = rest & ~nbrs
+        while far:
+            b = far & -far
+            far ^= b
+            yield nbrs & adj[b.bit_length() - 1]
+
+
 def distance_two_cores(g: Graph, within: int) -> set[int]:
     """The distinct cores C(a, b) = N(a) & N(b) of the pairs a, b at
     distance two that lie inside the vertex mask ``within``, as masks.
@@ -384,18 +387,9 @@ def distance_two_cores(g: Graph, within: int) -> set[int]:
     while rem:
         low = rem & -rem
         rem ^= low
-        rest = adj[low.bit_length() - 1]
-        while rest:
-            a = rest & -rest
-            rest ^= a
-            nbrs = adj[a.bit_length() - 1]
-            far = rest & ~nbrs
-            while far:
-                b = far & -far
-                far ^= b
-                core = nbrs & adj[b.bit_length() - 1]
-                if not core & ~within and not core & (low - 1):
-                    cores.add(core)
+        for core in _pair_cores(adj, low.bit_length() - 1):
+            if not core & ~within and not core & (low - 1):
+                cores.add(core)
     return cores
 
 
@@ -404,16 +398,11 @@ def is_bypass_vertex(g: Graph, u: int) -> bool:
 
     A path x-u-y is convex exactly when x and y are non-adjacent and u is
     their only common neighbor: then x and y are at distance two and every
-    geodesic between them runs through u.
+    geodesic between them runs through u.  So u is a bypass vertex exactly
+    when {u} is not the core of a pair through u.
     """
     _check_vertex(g, u)
-    nbrs = sorted(g.neighbors(u))
-    for x, y in combinations(nbrs, 2):
-        if y in g.neighbors(x):
-            continue
-        if g.neighbors(x) & g.neighbors(y) == {u}:
-            return False
-    return True
+    return (1 << u) not in _pair_cores(g.adjacency_masks(), u)
 
 
 def bypass_set(g: Graph) -> frozenset[int]:

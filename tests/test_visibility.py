@@ -22,6 +22,7 @@ from mutvis import (
 from mutvis.generators import (
     biclique, complete, cycle, fig1, g_m, path, petersen, random_tree, star, theta,
 )
+from mutvis.specs import build, graph_of
 from mutvis.verify import random_connected_graph
 from mutvis.visibility import VisibilityOracle, distance_two_cores, inner_mask
 
@@ -105,11 +106,27 @@ def test_violation_reports_a_blocked_pair():
 
 
 def test_bypass_matches_convexity_definition():
-    for i in range(20):
-        g = random_connected_graph(4 + i % 6, 1300 + i)
+    graphs = [random_connected_graph(4 + i % 6, 1300 + i) for i in range(20)]
+    # Dense graphs and products, where many neighbour pairs are adjacent.
+    graphs += [complete(7), biclique(3, 4), g_m(3)]
+    graphs += [graph_of(build(s)) for s in (
+        "cp(complete:3,complete:4)", "cp(biclique:2,3,path:3)",
+    )]
+    for g in graphs:
         slow = reference.floyd_warshall(g)
         for u in range(g.order):
-            assert is_bypass_vertex(g, u) == reference.is_bypass(g, u, slow)
+            assert is_bypass_vertex(g, u) == reference.is_bypass(g, u, slow), (g.name, u)
+
+
+def test_bypass_set_runs_on_adjacency_masks(monkeypatch):
+    # A scan over Python neighbour sets costs n * maxdeg^2 set operations even
+    # on a complete graph, whose neighbour pairs are all adjacent.
+    def neighbors(self, u):
+        raise AssertionError("bypass vertices are found on adjacency masks")
+
+    monkeypatch.setattr(Graph, "neighbors", neighbors)
+    assert bypass_set(complete(300)) == frozenset(range(300))
+    assert bypass_set(cycle(5)) == frozenset()
 
 
 def test_bypass_known_sets():
