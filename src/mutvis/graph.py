@@ -24,7 +24,7 @@ class Graph:
     ignoring the display name.
     """
 
-    __slots__ = ("order", "name", "_adj", "_edge_count", "_hash", "_cache", "__weakref__")
+    __slots__ = ("order", "name", "_adj", "_edge_count", "_hash", "_cache")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:

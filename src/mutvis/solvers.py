@@ -212,10 +212,11 @@ def alpha_report(g: Graph, *, cap: int = DEFAULT_ALPHA_CAP) -> InvariantReport:
     return InvariantReport("alpha", len(witness), witness, "pruned-search", g.name)
 
 
-# Each invariant the CLI computes, as a function of the graph and an object
-# carrying the caps ``bp_cap``, ``n_cap`` and ``alpha_cap`` (such as
-# verify.SuiteOptions).  The lambdas look the solvers up by name at call
-# time, so a wrapper bound over a module-level name sees every call.
+# Each invariant that ``compute`` and the verify suites use, as a function of
+# the graph and an object carrying the caps ``bp_cap``, ``n_cap`` and
+# ``alpha_cap`` (such as verify.SuiteOptions).  The lambdas look the solvers
+# up by name at call time, so a wrapper bound over a module-level name sees
+# every call.
 INVARIANTS = {
     "mu": lambda g, caps: max_mv(g, cap=caps.n_cap),
     "mut": lambda g, caps: max_total_mv(g, cap=caps.bp_cap),

@@ -7,9 +7,11 @@ record: pass or fail by ``ok``, or skipped-cap when the check raises
 CapExceeded, so a cap shortfall never hides a failure or aborts the run.
 It calls each check before it resumes the suite, so a check may read the
 suite's loop variables directly.  A suite does capped work only inside its
-checks.  Where a claim has a constructive side (an explicit witness set),
-the suite builds the witness and runs the definitional checker on it
-rather than trusting the equality alone.
+checks, and computes every invariant through ``solvers.INVARIANTS``, so that
+table alone picks each invariant's solver and cap.  Where a claim has a
+constructive side (an explicit witness set), the suite builds the witness
+and runs the definitional checker on it rather than trusting the equality
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .graph import (
     DEFAULT_ALPHA_CAP,
     Graph,
     girth,
-    independence_number,
     is_independent_set,
     leaf_set,
     min_degree,
@@ -37,9 +38,6 @@ from .solvers import (
     DEFAULT_N_CAP,
     DEFAULT_ORACLE_CAP,
     INVARIANTS,
-    max_independent_total_mv,
-    max_mv,
-    max_total_mv,
     mut_is_zero,
     naive_oracle,
 )
@@ -204,13 +202,13 @@ def _suite_for_trees(opts: SuiteOptions) -> Checks:
         def check():
             if not is_mv_set(t, leaves):
                 return ("leaf set fails the mutual-visibility check", False)
-            value = max_mv(t, cap=opts.n_cap).value
+            value = INVARIANTS["mu"](t, opts).value
             ok = value == len(leaves)
             if t.order >= 3:
                 # On trees the total and independent-total invariants match
                 # the leaf count as well; on two vertices they split.
-                mut = max_total_mv(t, cap=opts.bp_cap).value
-                muit = max_independent_total_mv(t, cap=opts.bp_cap).value
+                mut = INVARIANTS["mut"](t, opts).value
+                muit = INVARIANTS["muit"](t, opts).value
                 ok = ok and mut == len(leaves) and muit == len(leaves)
                 return (f"mu={value}, mut={mut}, independent mut={muit}, leaves={len(leaves)}", ok)
             return (f"mu={value}, leaves={len(leaves)}", ok)
@@ -224,12 +222,12 @@ def _suite_subsets(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            w_total = max_total_mv(g, cap=opts.bp_cap).witness
+            w_total = INVARIANTS["mut"](g, opts).witness
             for _ in range(opts.count):
                 sub = frozenset(v for v in w_total if rng.random() < 0.5)
                 if not is_total_mv_set(g, sub):
                     return (f"total subset {sorted(sub)} fails", False)
-            w_mv = max_mv(g, cap=opts.n_cap).witness
+            w_mv = INVARIANTS["mu"](g, opts).witness
             for _ in range(opts.count):
                 sub = frozenset(v for v in w_mv if rng.random() < 0.5)
                 if not is_mv_set(g, sub):
@@ -244,7 +242,7 @@ def _suite_singletons(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            zero = max_total_mv(g, cap=opts.bp_cap).value == 0
+            zero = INVARIANTS["mut"](g, opts).value == 0
             no_single = all(not is_total_mv_set(g, {x}) for x in range(g.order))
             return (f"mut==0 is {zero}, all singletons fail is {no_single}", zero == no_single)
 
@@ -292,7 +290,7 @@ def _suite_bp_bound(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            value = max_total_mv(g, cap=opts.bp_cap).value
+            value = INVARIANTS["mut"](g, opts).value
             bp = len(bypass_set(g))
             return (f"mut={value}, bp={bp}", value <= bp)
 
@@ -307,7 +305,7 @@ def _suite_zero_char(opts: SuiteOptions) -> Checks:
             continue
 
         def check():
-            zero = max_total_mv(g, cap=opts.bp_cap).value == 0
+            zero = INVARIANTS["mut"](g, opts).value == 0
             bp = len(bypass_set(g))
             return (f"mut==0 is {zero}, bp={bp}", zero == (bp == 0))
 
@@ -371,10 +369,6 @@ def _suite_theta(opts: SuiteOptions) -> Checks:
 # -- product suites ----------------------------------------------------------
 
 
-def _mut_value(g: Graph, opts: SuiteOptions) -> int:
-    return max_total_mv(g, cap=opts.bp_cap).value
-
-
 @_suite("thm:cp", "a two-factor product has vanishing total invariant exactly when a factor does")
 def _suite_cp_zero(opts: SuiteOptions) -> Checks:
     pool = _pool([
@@ -385,9 +379,9 @@ def _suite_cp_zero(opts: SuiteOptions) -> Checks:
 
         def check():
             p = cartesian_product(a, b)
-            pv = max_total_mv(p.graph, cap=opts.bp_cap).value
-            av = _mut_value(a, opts)
-            bv = _mut_value(b, opts)
+            pv = INVARIANTS["mut"](p.graph, opts).value
+            av = INVARIANTS["mut"](a, opts).value
+            bv = INVARIANTS["mut"](b, opts).value
             ok = (pv == 0) == (av == 0 or bv == 0)
             return (f"mut(product)={pv}, factors {av} and {bv}", ok)
 
@@ -401,8 +395,8 @@ def _suite_cp_zero_k(opts: SuiteOptions) -> Checks:
 
         def check():
             p = k_fold_product(list(triple))
-            pv = max_total_mv(p.graph, cap=opts.bp_cap).value
-            vals = [_mut_value(f, opts) for f in triple]
+            pv = INVARIANTS["mut"](p.graph, opts).value
+            vals = [INVARIANTS["mut"](f, opts).value for f in triple]
             ok = (pv == 0) == any(v == 0 for v in vals)
             return (f"mut(product)={pv}, factors {vals}", ok)
 
@@ -424,12 +418,12 @@ def _suite_cp_bounds(opts: SuiteOptions) -> Checks:
     for a, b in combinations_with_replacement(usable, 2):
 
         def check():
-            mg = _mut_value(a, opts)
-            mh = _mut_value(b, opts)
-            ig = max_independent_total_mv(a, cap=opts.bp_cap).value
-            ih = max_independent_total_mv(b, cap=opts.bp_cap).value
+            mg = INVARIANTS["mut"](a, opts).value
+            mh = INVARIANTS["mut"](b, opts).value
+            ig = INVARIANTS["muit"](a, opts).value
+            ih = INVARIANTS["muit"](b, opts).value
             p = cartesian_product(a, b)
-            pv = max_total_mv(p.graph, cap=opts.bp_cap).value
+            pv = INVARIANTS["mut"](p.graph, opts).value
             lo = max(ih * mg, ig * mh)
             hi = min(mg * b.order, mh * a.order)
             return (f"{lo} <= {pv} <= {hi}", lo <= pv <= hi)
@@ -452,10 +446,10 @@ def _suite_both_one(opts: SuiteOptions) -> Checks:
         b = graph_of(build(sb))
 
         def check():
-            ra = max_total_mv(a, cap=opts.bp_cap)
-            rb = max_total_mv(b, cap=opts.bp_cap)
+            ra = INVARIANTS["mut"](a, opts)
+            rb = INVARIANTS["mut"](b, opts)
             p = cartesian_product(a, b)
-            pv = max_total_mv(p.graph, cap=opts.bp_cap).value
+            pv = INVARIANTS["mut"](p.graph, opts).value
             ok = pv != 1 or (ra.value == 1 and rb.value == 1)
             # The two-point construction behind the claim: two witness
             # vertices of one factor in a single layer stay visible.
@@ -475,7 +469,7 @@ def _suite_complete_product(opts: SuiteOptions) -> Checks:
 
             def check():
                 p = cartesian_product(graph_of(build(f"complete:{n}")), graph_of(build(f"complete:{m}")))
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
+                pv = INVARIANTS["mut"](p.graph, opts).value
                 return (f"mut={pv}", pv == max(n, m))
 
             yield f"complete:{n} x complete:{m}", f"mut == max({n},{m})", check
@@ -491,7 +485,7 @@ def _suite_cycle_complete(opts: SuiteOptions) -> Checks:
                 if s >= 5:
                     zero = mut_is_zero(p.graph)
                     return (f"bp={len(bypass_set(p.graph))}", zero)
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
+                pv = INVARIANTS["mut"](p.graph, opts).value
                 return (f"mut={pv}", pv == n)
 
             expected = "mut == 0 (no bypass vertex)" if s >= 5 else f"mut == {n}"
@@ -507,9 +501,9 @@ def _suite_tree_product(opts: SuiteOptions) -> Checks:
 
             def check():
                 p = cartesian_product(t, h)
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
-                tv = _mut_value(t, opts)
-                hv = _mut_value(h, opts)
+                pv = INVARIANTS["mut"](p.graph, opts).value
+                tv = INVARIANTS["mut"](t, opts).value
+                hv = INVARIANTS["mut"](h, opts).value
                 return (f"mut(product)={pv}, factors {tv} and {hv}", pv == tv * hv)
 
             yield _pair_name(t, h), "product invariant is the factor product", check
@@ -526,8 +520,8 @@ def _suite_tree_complete(opts: SuiteOptions) -> Checks:
                 kn = graph_of(build(f"complete:{n}"))
                 p = cartesian_product(t, kn)
                 image = lower_bound_witness(p, leaves, range(n))
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
-                ok = len(image) == n * len(leaves) and pv == n * _mut_value(t, opts)
+                pv = INVARIANTS["mut"](p.graph, opts).value
+                ok = len(image) == n * len(leaves) and pv == n * INVARIANTS["mut"](t, opts).value
                 return (f"mut(product)={pv}, witness image {len(image)}", ok)
 
             yield f"{t.name} x complete:{n}", "product invariant is n times the tree invariant", check
@@ -548,7 +542,7 @@ def _suite_gencomplete_product(opts: SuiteOptions) -> Checks:
             want_tight = stars[a.name] or stars[b.name]
             ok = len(bp_set) <= bound and tight == want_tight
             if a.order <= 5 and b.order <= 5:
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
+                pv = INVARIANTS["mut"](p.graph, opts).value
                 ok = ok and pv <= bound and (pv == bound) == want_tight
                 return (f"mut={pv}, bound={bound}, tight={tight}", ok)
             return (f"bp(product)={len(bp_set)}, bound={bound}, tight={tight}", ok)
@@ -581,8 +575,8 @@ def _suite_over_visible(opts: SuiteOptions) -> Checks:
         k = min(len(e_a), len(e_b))
 
         def check():
-            ma = _mut_value(a, opts)
-            mb = _mut_value(b, opts)
+            ma = INVARIANTS["mut"](a, opts).value
+            mb = INVARIANTS["mut"](b, opts).value
             if len(s_a) != ma or len(s_b) != mb:
                 return ("configured base sets are not largest", False)
             p = cartesian_product(a, b)
@@ -592,11 +586,11 @@ def _suite_over_visible(opts: SuiteOptions) -> Checks:
                 return (f"witness construction failed: {exc}", False)
             ok = len(witness) == ma * mb + k and len(witness) > ma * mb
             observed = f"verified witness of size {len(witness)} > {ma * mb}"
-            if len(bypass_set(p.graph)) <= opts.bp_cap:
-                pv = max_total_mv(p.graph, cap=opts.bp_cap).value
-                ok = ok and pv > ma * mb
-                observed += f", exact mut={pv}"
-            return (observed, ok)
+            try:
+                pv = INVARIANTS["mut"](p.graph, opts).value
+            except CapExceeded:
+                return (observed, ok)
+            return (f"{observed}, exact mut={pv}", ok and pv > ma * mb)
 
         yield _pair_name(a, b), "product exceeds the factor product", check
 
@@ -626,8 +620,8 @@ def _suite_theta_i(opts: SuiteOptions) -> Checks:
             for v in middles:
                 if not is_total_mv_set(g, middles - {v}):
                     return (f"bypass set minus {v} fails", False)
-            value = max_total_mv(g, cap=opts.bp_cap).value
-            ivalue = max_independent_total_mv(g, cap=opts.bp_cap).value
+            value = INVARIANTS["mut"](g, opts).value
+            ivalue = INVARIANTS["muit"](g, opts).value
             return (f"bp={len(bp_set)}, mut={value}, independent mut={ivalue}",
                     value == i - 1 and ivalue == i - 1)
 
@@ -653,8 +647,8 @@ def _suite_gm(opts: SuiteOptions) -> Checks:
             witness = frozenset({0, m + 2}) | frozenset(range(m + 3, 2 * m + 3))
             if not (is_total_mv_set(g, witness) and is_independent_set(g, witness)):
                 return ("documented witness fails", False)
-            value = max_total_mv(g, cap=opts.bp_cap).value
-            ivalue = max_independent_total_mv(g, cap=opts.bp_cap).value
+            value = INVARIANTS["mut"](g, opts).value
+            ivalue = INVARIANTS["muit"](g, opts).value
             ok = value == m + 2 and ivalue == m + 2 and len(bp_set) - value == m
             return (f"bp={len(bp_set)}, mut={value}, independent mut={ivalue}", ok)
 
@@ -665,7 +659,7 @@ def _suite_gm(opts: SuiteOptions) -> Checks:
 def _suite_sporadic(opts: SuiteOptions) -> Checks:
     def fig1_check():
         g = graph_of(build("fig1"))
-        value = max_total_mv(g, cap=opts.bp_cap).value
+        value = INVARIANTS["mut"](g, opts).value
         bp_set = bypass_set(g)
         return (f"mut={value}, bypass={sorted(bp_set)}", value == 1 and bp_set == {5, 6})
 
@@ -673,14 +667,14 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
     def fig2_check():
         g = graph_of(build("fig2"))
-        value = max_total_mv(g, cap=opts.bp_cap).value
+        value = INVARIANTS["mut"](g, opts).value
         return (f"mut={value}, bp={len(bypass_set(g))}", value == 0 and not bypass_set(g))
 
     yield "fig2", "mut == 0 and bp == 0", fig2_check
 
     def petersen_check():
         g = graph_of(build("petersen"))
-        value = max_total_mv(g, cap=opts.bp_cap).value
+        value = INVARIANTS["mut"](g, opts).value
         return (f"mut={value}, girth={girth(g)}, min degree {min_degree(g)}",
                 value == 0 and girth(g) == 5 and min_degree(g) == 3)
 
@@ -691,7 +685,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
             def biclique_check():
                 g = graph_of(build(f"biclique:{n},{m}"))
-                value = max_total_mv(g, cap=opts.bp_cap).value
+                value = INVARIANTS["mut"](g, opts).value
                 return (f"mut={value}, bp={len(bypass_set(g))}",
                         value == n + m - 2 and len(bypass_set(g)) == n + m)
 
@@ -701,7 +695,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
         # Below the 3,3 threshold the bypass bound is still n+m but the
         # invariant drops differently; pin the computed truth.
         g = graph_of(build("theta:2,2,2"))
-        value = max_total_mv(g, cap=opts.bp_cap).value
+        value = INVARIANTS["mut"](g, opts).value
         return (f"mut={value}, bp={len(bypass_set(g))}",
                 value == 3 and len(bypass_set(g)) == 5)
 
@@ -711,9 +705,9 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
         def complete_check():
             g = graph_of(build(f"complete:{n}"))
-            mu = max_mv(g, cap=opts.n_cap).value
-            mut = max_total_mv(g, cap=opts.bp_cap).value
-            muit = max_independent_total_mv(g, cap=opts.bp_cap).value
+            mu = INVARIANTS["mu"](g, opts).value
+            mut = INVARIANTS["mut"](g, opts).value
+            muit = INVARIANTS["muit"](g, opts).value
             return (f"mu={mu}, mut={mut}, independent mut={muit}",
                     mu == n and mut == n and muit == 1)
 
@@ -721,7 +715,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
     def gencomplete_check():
         g = graph_of(build("gencomplete:2,2"))
-        value = max_total_mv(g, cap=opts.bp_cap).value
+        value = INVARIANTS["mut"](g, opts).value
         return (f"mut={value}", value == g.order - 1)
 
     yield "gencomplete:2,2", "mut == order - 1 for a non-trivial instance", gencomplete_check
@@ -734,9 +728,9 @@ def _suite_sandwich(opts: SuiteOptions) -> Checks:
 
         def check():
             leaves = len(leaf_set(g))
-            muit = max_independent_total_mv(g, cap=opts.bp_cap).value
-            mut = max_total_mv(g, cap=opts.bp_cap).value
-            alpha = independence_number(g, cap=opts.alpha_cap)
+            muit = INVARIANTS["muit"](g, opts).value
+            mut = INVARIANTS["mut"](g, opts).value
+            alpha = INVARIANTS["alpha"](g, opts).value
             ok = leaves <= muit <= min(mut, alpha)
             return (f"{leaves} <= {muit} <= min({mut}, {alpha})", ok)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import mutvis.solvers
 import mutvis.verify
 from mutvis import CapExceeded, is_connected
 from mutvis.verify import (
@@ -122,3 +123,31 @@ def test_zero_caps_skip_instances_and_never_abort_the_run():
     skipped = [r for r in records if r.status == "skipped-cap"]
     assert skipped and all(r.observed.startswith("cap exceeded: ") for r in skipped)
     assert any(r.theorem_id == "thm:cp-bounds" for r in skipped)
+
+
+def test_suites_solve_through_the_invariant_table(monkeypatch):
+    # A distinct stub value per kind shows which table entry each figure
+    # came from; a suite that called a solver directly would show the true
+    # value instead.
+    stubs = {"mu": 91, "mut": 92, "muit": 93, "alpha": 94}
+    for kind, value in stubs.items():
+        report = mutvis.solvers.InvariantReport(kind, value, (), "stub")
+        monkeypatch.setitem(mutvis.solvers.INVARIANTS, kind, lambda g, caps, r=report: r)
+    opts = SuiteOptions(count=3)
+
+    complete = run_suite("prop:cp-complete-by-complete", opts)
+    assert complete and all(r.observed == "mut=92" for r in complete)
+    gm = run_suite("fam:gm", opts)
+    assert gm and all(r.observed.endswith(", mut=92, independent mut=93") for r in gm)
+    trees = run_suite("prop:for-trees", opts)
+    assert trees and all(r.observed.startswith("mu=91, ") for r in trees)
+    sandwich = run_suite("fam:sandwich", opts)
+    assert sandwich and all(r.observed.endswith(" <= 93 <= min(92, 94)") for r in sandwich)
+
+
+def test_over_visible_drops_only_the_exact_value_past_the_cap():
+    records = {r.instance: r for r in run_suite("the:over-visible", SuiteOptions())}
+    capped = records["gm:2 x gm:2"]
+    assert capped.status == "pass" and "exact mut" not in capped.observed
+    others = [r for name, r in records.items() if name != "gm:2 x gm:2"]
+    assert others and all(r.status == "pass" and ", exact mut=" in r.observed for r in others)
