@@ -2,41 +2,49 @@
 
 The searcher grows subsets of a fixed candidate list in ascending vertex
 order, so the first maximum it completes is the lexicographically smallest
-one, and the result never depends on timing.  Every prune only drops
-branches that cannot beat the incumbent, which keeps it exact:
+one, and the result never depends on timing.  The chosen set and the
+remaining suffix are bitmasks; children are taken from the suffix by
+low-bit extraction.  Every prune only drops branches that cannot beat the
+incumbent, which keeps it exact:
 
 * a failed membership test cuts the whole branch, since every superset of an
   infeasible set is infeasible too;
 * known infeasible "blockers" are never proposed.  A blocker of two
   vertices is an edge of the *conflict graph*: each candidate carries a
   bitmask of the candidates it conflicts with, and choosing a vertex drops
-  its conflicts from the remaining suffix.  Blockers of any other size are
-  kept in a list, which each search node scans once on entry.  For a
-  blocker b inside ``chosen | suffix``, the *residual* r = b - chosen is
-  never empty, since the chosen set was accepted, and no set of this
-  subtree may hold all of r.  A residual of one vertex drops that vertex
-  from the suffix; a residual of two vertices is a pair conflict that holds
-  in this subtree only, and the chosen vertex's local conflicts also filter
-  its child's suffix.  This is unit propagation on learned nogoods
-  (Marques-Silva & Sakallah's GRASP).  A blocker learned after the scan is
-  caught by a lookup of the blockers whose highest vertex is the one just
-  added: the set grown was accepted, so a blocker inside the new set must
-  hold the new vertex, and that vertex is above all the others;
+  its conflicts from the remaining suffix.  Blockers of any other size go
+  into an append-only log.  For a blocker b inside ``chosen | suffix``, the
+  *residual* r = b - chosen is never empty, since the chosen set was
+  accepted, and no set of this subtree may hold all of r.  A residual of
+  one vertex drops that vertex from the suffix; a residual of two vertices
+  is a pair conflict that holds in this subtree only, and the chosen
+  vertex's local conflicts also filter its child's suffix.  This is unit
+  propagation on learned nogoods (Marques-Silva & Sakallah's GRASP).  A
+  child's region lies inside its parent's, so each node hands its children
+  the blockers inside its own region, less those through a dropped vertex,
+  and a child tests only those and the log entries added since its
+  parent's test.  A blocker learned after a node's test is caught by a
+  lookup of the blockers whose highest vertex is the one just added: the
+  set grown was accepted, so a blocker inside the new set must hold the
+  new vertex, and that vertex is above all the others;
 * a branch is abandoned when an upper bound on what the remaining suffix
   can add cannot beat the incumbent.  The main bound is the greedy clique
   cover of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et
   al.'s BBMC, applied to the complement) over the global and the node's
-  local pair conflicts: one back-to-front pass over the suffix puts each
-  vertex into the first clique it fully conflicts with, so ``bound[j]``,
-  the number of cliques covering ``suffix[j:]``, caps a feasible subset of
-  it (at most one vertex per clique).  Without pair conflicts the pass is
-  skipped and ``bound[j] = len(suffix) - j``.  The residuals of three or
-  more vertices feed a greedy packing of disjoint ones: a feasible subset
-  of the suffix omits a vertex of each, so the node is abandoned when
-  ``len(chosen) + len(suffix) - packed`` cannot beat the incumbent.  A
-  residual that holds a dropped vertex is left out of the packing (and of
-  the local conflicts), because the drop already omitted that vertex and
-  counting it again would overstate the omissions.
+  local pair conflicts, built as bitmask colour classes (``_class_tops``):
+  a class starts at the highest vertex v left in the suffix, takes the
+  highest vertex w of ``left & near(v)``, narrows those by ``near(w)``, and
+  so on until none is left.  These are the cliques of a back-to-front
+  first-fit pass, and a feasible subset holds at most one vertex of each,
+  so the class tops from a child on cap what its subtree can add.
+  Without pair conflicts every vertex is its own top.  The residuals of
+  three or more vertices feed a greedy packing of disjoint ones, in
+  ``_blocker_rank`` order: a feasible subset of the suffix omits a vertex
+  of each, so the node is abandoned when ``len(chosen) + len(suffix) -
+  packed`` cannot beat the incumbent.  A residual that holds a dropped
+  vertex is left out of the packing (and of the local conflicts), because
+  the drop already omitted that vertex and counting it again would
+  overstate the omissions.
 
 The searcher calls ``feasible`` only on a set grown by one vertex above all
 of its members from a set ``feasible`` has already accepted (or from the
@@ -52,7 +60,6 @@ When every infeasible set holds a seed, ``feasible`` may be constant True.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Callable, Iterable
 
 BLOCKER_LIMIT = 4096
@@ -68,6 +75,21 @@ def _link(conflicts: dict[int, int], pair: int) -> None:
     u, v = low.bit_length() - 1, (pair ^ low).bit_length() - 1
     conflicts[u] = conflicts.get(u, 0) | 1 << v
     conflicts[v] = conflicts.get(v, 0) | 1 << u
+
+
+def _class_tops(suffix: int, conflicts: dict[int, int], local: dict[int, int]) -> int:
+    """The highest vertex of each colour class of ``suffix``, as a mask."""
+    tops = 0
+    while suffix:
+        v = suffix.bit_length() - 1
+        tops |= 1 << v
+        suffix ^= 1 << v
+        q = suffix & (conflicts.get(v, 0) | local.get(v, 0))
+        while q:
+            w = q.bit_length() - 1
+            suffix ^= 1 << w
+            q &= conflicts.get(w, 0) | local.get(w, 0)
+    return tops
 
 
 def lex_first_maximum(
@@ -87,10 +109,10 @@ def lex_first_maximum(
     both learned and seeded blockers are used only for pruning, so they
     never change the reported maximum.
     """
-    order = sorted(candidates)
-    blockers: list[int] = []  # blockers of other than two vertices, by size
+    everyone = sum({1 << v for v in candidates})
+    log: list[int] = []  # blockers of other than two vertices, oldest first
     by_top: dict[int, list[int]] = {}  # the same, filed under their highest vertex
-    conflicts: dict[int, int] = {}  # vertex -> mask of its pair conflicts
+    conflicts: dict[int, int] = {}  # vertex -> its pair conflicts; empty until a pair
     known: set[int] = set()
 
     def add_blocker(b: int) -> None:
@@ -100,14 +122,13 @@ def lex_first_maximum(
         if b.bit_count() == 2:
             _link(conflicts, b)
         else:
-            insort(blockers, b, key=_blocker_rank)
+            log.append(b)
             by_top.setdefault(b.bit_length() - 1, []).append(b)
 
     for b in seed_blockers:
         add_blocker(b)
 
-    best_size = 0
-    best: tuple[int, ...] = ()
+    best_size = best = 0  # best is the mask of the incumbent
 
     def covered(mask: int) -> bool:
         # mask grew an accepted set by its highest vertex, so a blocker
@@ -117,81 +138,60 @@ def lex_first_maximum(
                 return True
         return False
 
-    def cover_bounds(suffix: list[int], local: dict[int, int]) -> list[int] | range:
-        m = len(suffix)
-        if not conflicts and not local:
-            return range(m, -1, -1)
-        bound = [0] * (m + 1)
-        cliques: list[int] = []
-        for j in range(m - 1, -1, -1):
-            v = suffix[j]
-            near = conflicts.get(v, 0) | local.get(v, 0)
-            for k, c in enumerate(cliques):
-                if c & near == c:
-                    cliques[k] = c | 1 << v
-                    break
-            else:
-                cliques.append(1 << v)
-            bound[j] = len(cliques)
-        return bound
-
-    def grow(chosen: list[int], mask: int, suffix: list[int]) -> None:
+    def grow(mask: int, size: int, suffix: int, inherited: list[int], since: int) -> None:
         nonlocal best_size, best
-        # The one blocker scan of this node (see the module docstring).
-        outside = mask
-        for v in suffix:
-            outside |= 1 << v
-        outside = ~outside
+        # The blockers inside chosen | suffix, in rank order (see the
+        # module docstring): the parent's, and those logged since its test.
+        outside = ~(mask | suffix)
+        hits = [b for b in inherited if not b & outside]
+        fresh = [b for b in log[since:] if not b & outside]
+        if fresh:
+            hits += fresh
+            hits.sort(key=_blocker_rank)
+        since = len(log)
         dropped = 0
-        residuals = []
-        for b in blockers:
-            if not b & outside:
-                r = b & ~mask
-                if r.bit_count() == 1:
-                    dropped |= r
-                else:
-                    residuals.append(r)
+        for b in hits:
+            r = b & ~mask
+            if not r & (r - 1):
+                dropped |= r
+        if dropped:
+            suffix &= ~dropped
+            hits = [b for b in hits if not b & dropped]
         local: dict[int, int] = {}
-        used = 0
-        packed = 0
-        for r in residuals:
-            if r & dropped:
-                continue
+        used = packed = 0
+        for b in hits:
+            r = b & ~mask
             if r.bit_count() == 2:
                 _link(local, r)
             elif not r & used:
                 packed += 1
                 used |= r
-        if dropped:
-            suffix = [v for v in suffix if not dropped >> v & 1]
-        if len(chosen) + len(suffix) - packed <= best_size:
+        if size + suffix.bit_count() - packed <= best_size:
             return
-        bound = cover_bounds(suffix, local)
-        for i, v in enumerate(suffix):
-            if len(chosen) + bound[i] <= best_size:
+        tops = _class_tops(suffix, conflicts, local) if conflicts or local else suffix
+        rem = suffix
+        while rem:
+            if size + (tops & rem).bit_count() <= best_size:
                 break
+            low = rem & -rem
+            rem ^= low
+            v = low.bit_length() - 1
             near = conflicts.get(v, 0)
             # Pair conflicts learned after this suffix was built.
             if near & mask:
                 continue
-            vmask = mask | (1 << v)
+            vmask = mask | low
             if covered(vmask):
                 continue
             if not feasible(vmask):
-                if learn is not None and len(blockers) < BLOCKER_LIMIT:
+                if learn is not None and len(log) < BLOCKER_LIMIT:
                     add_blocker(learn(vmask))
                 continue
-            chosen.append(v)
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = tuple(chosen)
-            rest = suffix[i + 1 :]
-            near |= local.get(v, 0)
-            if near:
-                rest = [u for u in rest if not near >> u & 1]
-            if len(chosen) + min(bound[i + 1], len(rest)) > best_size:
-                grow(chosen, vmask, rest)
-            chosen.pop()
+            if size >= best_size:
+                best_size, best = size + 1, vmask
+            rest = rem & ~(near | local.get(v, 0))
+            if size + 1 + min((tops & rem).bit_count(), rest.bit_count()) > best_size:
+                grow(vmask, size + 1, rest, hits, since)
 
-    grow([], 0, order)
-    return best_size, best
+    grow(0, 0, everyone, [], 0)
+    return best_size, tuple(v for v in range(best.bit_length()) if best >> v & 1)

@@ -1,8 +1,10 @@
 """Property tests: the exact solvers agree with the brute-force reference on
 random connected graphs of order at most 8, in value and in the
 lexicographically first witness, and so does the distance-two lemma that
-the total solvers rest on.  The command line ends every graph expression
-and graph file in exit 0, 1 or 2 with at most one line on stderr.
+the total solvers rest on.  The searcher's colour-class bound counts the
+cliques of a first-fit clique cover.  The command line ends every graph
+expression and graph file in exit 0, 1 or 2 with at most one line on
+stderr.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic.  (Hypothesis's pytest plugin still caches the constants of
@@ -24,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 import mutvis.specs
 import reference
 from mutvis import Graph, cli, max_independent_total_mv, max_mv, max_total_mv
+from mutvis._search import _class_tops
 from mutvis.visibility import distance_two_cores
 
 
@@ -63,6 +66,46 @@ def test_core_freeness_matches_brute_force(data):
     members = data.draw(st.sets(st.integers(0, g.order - 1)))
     mask = sum(1 << u for u in members)
     assert (not distance_two_cores(g, mask)) == reference.is_tmv(g, members)
+
+
+def _first_fit_bounds(order: list[int], near) -> list[int]:
+    """bounds[j]: the cliques that a back-to-front first-fit pass, putting
+    each vertex into the first clique it fully conflicts with, opens over
+    order[j:]."""
+    bounds = [0] * (len(order) + 1)
+    cliques: list[int] = []
+    for j in range(len(order) - 1, -1, -1):
+        v = order[j]
+        for k, c in enumerate(cliques):
+            if c & near(v) == c:
+                cliques[k] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+        bounds[j] = len(cliques)
+    return bounds
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_colour_class_tops_count_first_fit_cliques(data):
+    # Each pair is free, a global conflict or a local one; the suffix is
+    # any subset, so conflicts also reach vertices outside it.
+    n = data.draw(st.integers(0, 16))
+    pairs = list(combinations(range(n), 2))
+    kinds = data.draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    conflicts: dict[int, int] = {}
+    local: dict[int, int] = {}
+    for (u, v), kind in zip(pairs, kinds):
+        if kind:
+            table = conflicts if kind == 1 else local
+            table[u] = table.get(u, 0) | 1 << v
+            table[v] = table.get(v, 0) | 1 << u
+    order = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+    bounds = _first_fit_bounds(order, lambda v: conflicts.get(v, 0) | local.get(v, 0))
+    tops = _class_tops(sum(1 << v for v in order), conflicts, local)
+    for j in range(len(order) + 1):
+        assert (tops & sum(1 << v for v in order[j:])).bit_count() == bounds[j], (order, j)
 
 
 _PARAMETRIC = (

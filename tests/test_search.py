@@ -8,8 +8,10 @@ import pytest
 import mutvis.solvers
 import reference
 from mutvis import (
+    build,
     bypass_set,
     cartesian_product,
+    graph_of,
     max_independent_total_mv,
     max_mv,
     max_total_mv,
@@ -212,3 +214,49 @@ def test_mu_solver_grows_only_accepted_sets(monkeypatch):
         r = max_mv(g)
         assert (r.value, r.witness) == (o.value, o.witness), g.name
     assert calls
+
+
+# Feasible and learn calls of the exact search on fixed inputs: the seven
+# anchor products of the benchmark's mu workload, and one biclique product
+# whose mut is proved by pair conflicts and colour classes alone.
+SEARCH_EFFORT = {
+    ("mu", "cp(cycle:4,complete:5)"): (2300, 110),
+    ("mu", "cp(complete:4,complete:5)"): (2214, 60),
+    ("mu", "cp(cycle:5,cycle:4)"): (1504, 181),
+    ("mu", "cp(biclique:2,2,path:5)"): (1969, 229),
+    ("mu", "cp(star:3,cycle:5)"): (1766, 215),
+    ("mu", "cp(path:4,cycle:5)"): (1567, 203),
+    ("mu", "cp(path:2,petersen)"): (985, 139),
+    ("mut", "cp(biclique:3,4,biclique:4,4)"): (11127, 0),
+}
+
+
+def test_search_effort_is_pinned(monkeypatch):
+    # A pruning rule that stops firing leaves every value right and only
+    # costs calls, so the calls are pinned: a change that alters them
+    # changes the search's decisions and must say so.
+    search = mutvis.solvers.lex_first_maximum
+    calls = {}
+
+    def counted(candidates, feasible, learn=None, seed_blockers=()):
+        def counted_feasible(mask):
+            calls["feasible"] += 1
+            return feasible(mask)
+
+        def counted_learn(mask):
+            calls["learn"] += 1
+            return learn(mask)
+
+        return search(candidates, counted_feasible, counted_learn if learn else None, seed_blockers)
+
+    monkeypatch.setattr(mutvis.solvers, "lex_first_maximum", counted)
+    got = {}
+    for kind, spec in SEARCH_EFFORT:
+        calls.update(feasible=0, learn=0)
+        g = graph_of(build(spec))
+        if kind == "mu":
+            max_mv(g)
+        else:
+            max_total_mv(g, cap=64)
+        got[kind, spec] = (calls["feasible"], calls["learn"])
+    assert got == SEARCH_EFFORT
