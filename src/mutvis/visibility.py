@@ -266,36 +266,8 @@ class VisibilityOracle:
             return 0
         return self.minimal_pair_blocker(obstacles, *pair)
 
-    def mv_grown_violation(self, members: int) -> tuple[int, int] | None:
-        """mv_violation for a set grown by its highest vertex v, given that
-        the rest is a mutual-visibility set: the same first pair, or None.
-
-        A pair blocked now either holds v or was visible past the rest and
-        has v strictly inside one of its geodesics.  So from each source x
-        only v and the members in x's row of ``interior(v)`` are searched;
-        they hold every blocked target of x, and the search from x finds
-        the same first one as it does over all the members above x."""
-        if not members & (members - 1):
-            return None  # the empty set, or one vertex
-        v = members.bit_length() - 1
-        inner = self.interior(v)
-        n = self.n
-        rem = members ^ (1 << v)
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            x = low.bit_length() - 1
-            targets = (inner >> (x * n)) & rem | (1 << v)
-            y = self._first_blocked_target(x, members, targets)
-            if y >= 0:
-                return (x, y)
-        return None
-
     def minimal_mv_blocker(self, members: int) -> int:
-        """A minimal blocker inside a set grown by its highest vertex from a
-        mutual-visibility set (the sets the ``mu`` search learns from):
-        the first blocked pair and a minimal set of members blocking it."""
-        pair = self.mv_grown_violation(members)
+        pair = self.mv_violation(members)
         if pair is None:
             return 0
         x, y = pair

@@ -283,26 +283,3 @@ def test_mv_grow_check_matches_brute_force():
                     grows += 1
                     infeasible += not want
     assert grows > 5000 and infeasible > 1000
-
-
-def test_grown_violation_is_the_full_checks_pair():
-    # Every mutual-visibility set, grown by every larger vertex: the check
-    # that minimal_mv_blocker learns from finds mv_violation's first pair.
-    from test_search import _small_products
-
-    grows = infeasible = 0
-    for g in _small_products() + _grow_graphs():
-        oracle = VisibilityOracle.for_graph(g)
-        stack = [0]
-        while stack:
-            base = stack.pop()
-            for v in range(base.bit_length(), g.order):
-                mask = base | 1 << v
-                want = oracle.mv_violation(mask)
-                assert oracle.mv_grown_violation(mask) == want, (g.name, mask)
-                grows += 1
-                if want is None:
-                    stack.append(mask)
-                else:
-                    infeasible += 1
-    assert grows > 30000 and infeasible > 10000
