@@ -105,14 +105,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _options(args, **corpus) -> SuiteOptions:
-    # --cap-n bounds both the mu and the alpha search; unset, each search
-    # keeps its own default.
-    return SuiteOptions(
-        bp_cap=args.cap_bp,
-        n_cap=DEFAULT_N_CAP if args.cap_n is None else args.cap_n,
-        alpha_cap=DEFAULT_ALPHA_CAP if args.cap_n is None else args.cap_n,
-        **corpus,
-    )
+    return SuiteOptions(bp_cap=args.cap_bp, n_cap=args.cap_n, **corpus)
 
 
 def _cmd_compute(args) -> int:

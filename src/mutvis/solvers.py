@@ -44,8 +44,6 @@ _KIND_NAMES = {
     "mu": "mutual-visibility number",
     "mut": "total mutual-visibility number",
     "muit": "independent total mutual-visibility number",
-    "bp": "bypass number",
-    "alpha": "independence number",
 }
 
 
@@ -213,16 +211,17 @@ def alpha_report(g: Graph, *, cap: int = DEFAULT_ALPHA_CAP) -> InvariantReport:
 
 
 # Each invariant that ``compute`` and the verify suites use, as a function of
-# the graph and an object carrying the caps ``bp_cap``, ``n_cap`` and
-# ``alpha_cap`` (such as verify.SuiteOptions).  The lambdas look the solvers
-# up by name at call time, so a wrapper bound over a module-level name sees
-# every call.
+# the graph and an object carrying the caps ``bp_cap`` and ``n_cap`` (such as
+# verify.SuiteOptions).  ``n_cap`` bounds both the mu and the alpha search;
+# None keeps each search's own default.  The lambdas look the solvers up by
+# name at call time, so a wrapper bound over a module-level name sees every
+# call.
 INVARIANTS = {
-    "mu": lambda g, caps: max_mv(g, cap=caps.n_cap),
+    "mu": lambda g, caps: max_mv(g, cap=DEFAULT_N_CAP if caps.n_cap is None else caps.n_cap),
     "mut": lambda g, caps: max_total_mv(g, cap=caps.bp_cap),
     "muit": lambda g, caps: max_independent_total_mv(g, cap=caps.bp_cap),
     "bp": lambda g, caps: bypass_report(g),
-    "alpha": lambda g, caps: alpha_report(g, cap=caps.alpha_cap),
+    "alpha": lambda g, caps: alpha_report(g, cap=DEFAULT_ALPHA_CAP if caps.n_cap is None else caps.n_cap),
     "girth": lambda g, caps: InvariantReport("girth", girth(g), (), "formula", g.name),
 }
 

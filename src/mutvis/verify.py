@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import CapExceeded, WitnessError
 from .generators import _prufer_edges, random_tree
 from .graph import (
-    DEFAULT_ALPHA_CAP,
     Graph,
     girth,
     is_independent_set,
@@ -35,8 +34,6 @@ from .graph import (
 from .products import cartesian_product, k_fold_product, lower_bound_witness, over_visible_witness
 from .solvers import (
     DEFAULT_BP_CAP,
-    DEFAULT_N_CAP,
-    DEFAULT_ORACLE_CAP,
     INVARIANTS,
     mut_is_zero,
     naive_oracle,
@@ -48,15 +45,14 @@ from .visibility import bypass_set, is_bypass_vertex, is_mv_set, is_total_mv_set
 @dataclass(frozen=True)
 class SuiteOptions:
     """Shared knobs: seed and count drive the randomized corpora, max_n
-    bounds instance sizes, the caps mirror the solver flags."""
+    bounds instance sizes, the caps mirror the solver flags.  n_cap bounds
+    both the mu and the alpha search; None keeps each search's default."""
 
     seed: int = 0
     count: int = 20
     max_n: int = 12
     bp_cap: int = DEFAULT_BP_CAP
-    n_cap: int = DEFAULT_N_CAP
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    alpha_cap: int = DEFAULT_ALPHA_CAP
+    n_cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -252,8 +248,6 @@ def _suite_singletons(opts: SuiteOptions) -> Checks:
 @_suite("lem:bypass-vertex-is-good", "a singleton is total mutual-visible exactly when its vertex is bypass")
 def _suite_singleton_bypass(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
-        if g.order < 2:
-            continue
 
         def check():
             bad = [
@@ -268,18 +262,15 @@ def _suite_singleton_bypass(opts: SuiteOptions) -> Checks:
 @_suite("lem:non-bypass-in-not-in", "no total mutual-visibility set contains a non-bypass vertex")
 def _suite_non_bypass(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
-        if g.order < 2:
-            continue
 
         def check():
             non_bp = sorted(set(range(g.order)) - bypass_set(g))
             if any(is_total_mv_set(g, {u}) for u in non_bp):
                 return ("some non-bypass singleton passes", False)
-            if g.order <= opts.oracle_cap:
-                w = naive_oracle(g, "mut", cap=opts.oracle_cap).witness
-                hit = sorted(set(w) & set(non_bp))
-                if hit:
-                    return (f"unrestricted-search witness contains {hit}", False)
+            w = naive_oracle(g, "mut").witness
+            hit = sorted(set(w) & set(non_bp))
+            if hit:
+                return (f"unrestricted-search witness contains {hit}", False)
             return ("singletons and unrestricted witness avoid non-bypass vertices", True)
 
         yield g.name, "non-bypass vertices appear in no witness", check
@@ -301,8 +292,6 @@ def _suite_bp_bound(opts: SuiteOptions) -> Checks:
 def _suite_zero_char(opts: SuiteOptions) -> Checks:
     corpus = list(named_corpus(opts.max_n)) + list(random_corpus(opts.count, 10, opts.seed))
     for g in corpus:
-        if g.order < 2:
-            continue
 
         def check():
             zero = INVARIANTS["mut"](g, opts).value == 0
@@ -316,8 +305,6 @@ def _suite_zero_char(opts: SuiteOptions) -> Checks:
 def _suite_girth(opts: SuiteOptions) -> Checks:
     corpus = list(named_corpus(opts.max_n)) + list(tree_corpus(opts.count, 2, 9, opts.seed))
     for g in corpus:
-        if g.order < 2:
-            continue
         gg = girth(g)
         if gg is not None and gg < 5:
             continue
@@ -742,13 +729,11 @@ def _suite_oracle(opts: SuiteOptions) -> Checks:
     corpus = [g for g in named_corpus(min(opts.max_n, 10))]
     corpus += [g for g in random_corpus(min(opts.count, 12), 8, opts.seed + 5)]
     for g in corpus:
-        if g.order > opts.oracle_cap:
-            continue
 
         def check():
             for kind in ("mut", "muit", "mu"):
                 fast = INVARIANTS[kind](g, opts)
-                slow = naive_oracle(g, kind, cap=opts.oracle_cap)
+                slow = naive_oracle(g, kind)
                 if fast.value != slow.value or fast.witness != slow.witness:
                     return (
                         f"{kind}: search {fast.value} {fast.witness} vs reference {slow.value} {slow.witness}",

@@ -71,10 +71,9 @@ class VisibilityOracle:
     construction the instance only fills its cache of interior masks.
     """
 
-    __slots__ = ("graph", "n", "adj", "inner", "full", "above", "levels", "_interior")
+    __slots__ = ("n", "adj", "inner", "full", "above", "levels", "_interior")
 
     def __init__(self, g: Graph):
-        self.graph = g
         self.n = n = g.order
         self.adj = g.adjacency_masks()
         self.inner = inner_mask(g)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 

@@ -18,7 +18,7 @@ from mutvis import (
     min_degree,
     over_visible_witness,
 )
-from mutvis.generators import biclique, complete, cycle, g_m, path, star, theta
+from mutvis.generators import complete, cycle, g_m, path, star, theta
 from mutvis.specs import build
 
 

@@ -261,7 +261,7 @@ def test_sandwich_boundary_on_two_vertices():
 
 def test_invariant_table_reads_each_cap():
     g = complete(4)
-    tight = SuiteOptions(bp_cap=3, n_cap=3, alpha_cap=3)
+    tight = SuiteOptions(bp_cap=3, n_cap=3)
     for kind in ("mu", "mut", "muit", "alpha"):
         with pytest.raises(CapExceeded):
             INVARIANTS[kind](g, tight)
@@ -270,6 +270,17 @@ def test_invariant_table_reads_each_cap():
     assert INVARIANTS["girth"](g, tight).to_dict() == {
         "kind": "girth", "value": 3, "witness": [], "method": "formula", "graph_name": g.name,
     }
+
+
+def test_invariant_table_owns_the_cap_defaults():
+    # SuiteOptions holds only what the verify flags set; an unset n_cap
+    # becomes each search's own default inside the table.
+    assert [f.name for f in dataclasses.fields(SuiteOptions)] == ["seed", "count", "max_n", "bp_cap", "n_cap"]
+    g = path(22)
+    assert INVARIANTS["alpha"](g, SuiteOptions()).value == 11
+    with pytest.raises(CapExceeded, match="--cap-n"):
+        INVARIANTS["mu"](g, SuiteOptions())
+    assert INVARIANTS["mu"](g, SuiteOptions(n_cap=22)).value == 2
 
 
 def test_invariant_table_looks_solvers_up_at_call_time(monkeypatch):

@@ -118,7 +118,7 @@ def test_run_suite_calls_each_check_before_resuming_the_suite(monkeypatch):
 
 
 def test_zero_caps_skip_instances_and_never_abort_the_run():
-    records = run_all(SuiteOptions(bp_cap=0, n_cap=0, alpha_cap=0, oracle_cap=0))
+    records = run_all(SuiteOptions(bp_cap=0, n_cap=0))
     assert records and all(r.status != "fail" for r in records)
     skipped = [r for r in records if r.status == "skipped-cap"]
     assert skipped and all(r.observed.startswith("cap exceeded: ") for r in skipped)

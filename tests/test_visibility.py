@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -205,6 +206,13 @@ def test_oracle_refuses_level_masks_above_the_limit(monkeypatch):
     message = str(err.value)
     assert "order 40" in message and "limit of" in message and "\n" not in message
     VisibilityOracle(path(39))
+
+
+def test_oracle_holds_no_reference_to_its_graph():
+    # The graph caches its oracle, so a link back would make the pair a
+    # cycle that only the cycle collector frees.
+    g = cycle(6)
+    assert g not in gc.get_referents(VisibilityOracle.for_graph(g))
 
 
 def _filter_graphs():
