@@ -14,4 +14,4 @@ class CapExceeded(RuntimeError):
 
 
 class WitnessError(ValueError):
-    """A witness construction was handed inputs violating its preconditions."""
+    """A witness failed a check: bad inputs to a construction, or a solver bug."""

@@ -11,7 +11,7 @@ from collections import deque
 from typing import AbstractSet, Iterable
 
 from ._search import lex_first_maximum
-from .errors import CapExceeded, GraphError
+from .errors import CapExceeded, GraphError, WitnessError
 
 DEFAULT_ALPHA_CAP = 24
 
@@ -247,12 +247,12 @@ def max_independent_set(g: Graph, *, cap: int = DEFAULT_ALPHA_CAP) -> frozenset[
     _, members = lex_first_maximum(range(g.order), lambda mask: True, seed_blockers=edge_masks)
     result = frozenset(members)
     if not is_independent_set(g, result):
-        raise RuntimeError("internal error: independence witness failed validation")
+        raise WitnessError("internal error: independence witness failed validation")
     return result
 
 
-def independence_number(g: Graph, *, cap: int = DEFAULT_ALPHA_CAP) -> int:
-    return len(max_independent_set(g, cap=cap))
+def independence_number(g: Graph) -> int:
+    return len(max_independent_set(g))
 
 
 # -- validation helpers ----------------------------------------------------

@@ -11,10 +11,10 @@ downward-closed family:
 * largest independent total mutual-visibility set, with edges inside the
   candidate list seeded as blockers as well.
 
-``naive_oracle`` recomputes the same numbers by scanning every subset with
-the definitional checkers, no candidate restriction and no pruning.  It is
-deliberately redundant: the two routes must agree, and tests hold them to
-that.
+``naive_oracle`` recomputes the same numbers by scanning subsets, largest
+first, with the definitional checkers, no candidate restriction and no
+pruning.  It is deliberately redundant: the two routes must agree, and
+tests hold them to that.
 """
 
 from __future__ import annotations
@@ -149,20 +149,20 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
     return InvariantReport("mu", value, witness, "pruned-search", g.name)
 
 
-def naive_oracle(g: Graph, kind: str, *, cap: int = DEFAULT_ORACLE_CAP) -> InvariantReport:
-    """Reference recomputation of mu, mut, or muit by scanning every subset.
+def naive_oracle(g: Graph, kind: str) -> InvariantReport:
+    """Reference recomputation of mu, mut, or muit by scanning subsets.
 
     No candidate restriction, no pruning, no reliance on downward closure:
-    all 2^n subsets are checked against the definitional predicate, smallest
-    sets first, and the first feasible set of each size is remembered.  The
-    reported witness therefore matches the pruned solvers' tie-break (the
-    lexicographically smallest maximum).  Meant for cross-validation only.
+    sizes are scanned from the largest down, each in lexicographic order,
+    and the first subset that passes the definitional predicate is returned
+    (the empty set if none does).  That is the pruned solvers' tie-break,
+    the lexicographically smallest maximum.  Meant for cross-validation only.
     """
     if kind not in ("mu", "mut", "muit"):
         raise GraphError(f"unknown invariant kind {kind!r}")
     _require_connected(g)
-    if g.order > cap:
-        raise CapExceeded(f"order {g.order} exceeds the exhaustive-search cap {cap}")
+    if g.order > DEFAULT_ORACLE_CAP:
+        raise CapExceeded(f"order {g.order} exceeds the exhaustive-search cap {DEFAULT_ORACLE_CAP}")
     oracle = VisibilityOracle.for_graph(g)
 
     def feasible(vs: tuple[int, ...]) -> bool:
@@ -175,13 +175,11 @@ def naive_oracle(g: Graph, kind: str, *, cap: int = DEFAULT_ORACLE_CAP) -> Invar
             return is_independent_set(g, frozenset(vs)) and oracle.tmv_holds(mask)
         return oracle.tmv_holds(mask)
 
-    first_by_size: dict[int, tuple[int, ...]] = {0: ()}
-    for r in range(1, g.order + 1):
+    for r in range(g.order, 0, -1):
         for vs in combinations(range(g.order), r):
-            if feasible(vs) and r not in first_by_size:
-                first_by_size[r] = vs
-    value = max(first_by_size)
-    return InvariantReport(kind, value, first_by_size[value], "naive-oracle", g.name)
+            if feasible(vs):
+                return InvariantReport(kind, r, vs, "naive-oracle", g.name)
+    return InvariantReport(kind, 0, (), "naive-oracle", g.name)
 
 
 def mut_is_zero(g: Graph) -> bool:
@@ -226,15 +224,15 @@ INVARIANTS = {
 }
 
 
-def sandwich_check(g: Graph, *, cap: int = DEFAULT_BP_CAP, alpha_cap: int = DEFAULT_ALPHA_CAP) -> bool:
-    """Cross-validation chain: leaf count <= muit <= min(mut, alpha).
+def sandwich_check(g: Graph) -> bool:
+    """Cross-validation chain at default caps: leaf count <= muit <= min(mut, alpha).
 
     Evaluates the chain honestly, so it can come back False on degenerate
     inputs (the two-vertex path has two leaves but muit 1).
     """
     _require_connected(g)
     leaves = len(leaf_set(g))
-    muit = max_independent_total_mv(g, cap=cap).value
-    mut = max_total_mv(g, cap=cap).value
-    alpha = independence_number(g, cap=alpha_cap)
+    muit = max_independent_total_mv(g).value
+    mut = max_total_mv(g).value
+    alpha = independence_number(g)
     return leaves <= muit <= min(mut, alpha)

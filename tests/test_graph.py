@@ -10,6 +10,7 @@ from mutvis import (
     CapExceeded,
     Graph,
     GraphError,
+    WitnessError,
     all_pairs_distances,
     girth,
     independence_number,
@@ -158,6 +159,12 @@ def test_independence_matches_brute_force():
         assert is_independent_set(g, best)
         assert len(best) == reference.brute_alpha(g)
         assert independence_number(g) == len(best)
+
+
+def test_independence_witness_failure_is_a_witness_error(monkeypatch):
+    monkeypatch.setattr(mutvis.graph, "lex_first_maximum", lambda *args, **kwargs: (2, (0, 1)))
+    with pytest.raises(WitnessError):
+        max_independent_set(path(3))
 
 
 def test_independence_cap():

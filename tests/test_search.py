@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import mutvis._search
 import mutvis.solvers
 import reference
 from mutvis import (
@@ -214,6 +215,20 @@ def test_mu_solver_grows_only_accepted_sets(monkeypatch):
         r = max_mv(g)
         assert (r.value, r.witness) == (o.value, o.witness), g.name
     assert calls
+
+
+@pytest.mark.parametrize("limit", [0, 3])
+def test_blocker_limit_changes_no_answer(monkeypatch, limit):
+    # Learned blockers only prune; with few or none kept, max_mv must still
+    # return the default limit's value and witness, and the oracle's.
+    specs = ["cp(cycle:4,complete:3)", "cp(path:3,cycle:4)", "petersen", "fig1", "cp(path:2,cycle:5)"]
+    graphs = [graph_of(build(spec)) for spec in specs]
+    expected = [(r.value, r.witness) for r in map(max_mv, graphs)]
+    monkeypatch.setattr(mutvis._search, "BLOCKER_LIMIT", limit)
+    for spec, g, want in zip(specs, graphs, expected):
+        r = max_mv(g)
+        o = naive_oracle(g, "mu")
+        assert (r.value, r.witness) == want == (o.value, o.witness), spec
 
 
 # Feasible and learn calls of the exact search on fixed inputs: the seven

@@ -93,6 +93,32 @@ def test_oracle_cap():
         naive_oracle(path(15), "mut")
 
 
+def test_oracle_stops_at_its_answer(monkeypatch):
+    # Sizes are scanned from the largest down, so the complete graph is
+    # answered by its first check, while a graph with no nonempty total
+    # mutual-visibility set has every nonempty subset checked.
+    calls = {"mv_holds": 0, "tmv_holds": 0}
+    oracle = mutvis.visibility.VisibilityOracle
+
+    def counted(name):
+        check = getattr(oracle, name)
+
+        def wrapper(self, mask):
+            calls[name] += 1
+            return check(self, mask)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    report = naive_oracle(complete(8), "mu")
+    assert (report.value, report.witness) == (8, tuple(range(8)))
+    assert calls == {"mv_holds": 1, "tmv_holds": 0}
+    report = naive_oracle(cycle(9), "mut")
+    assert (report.value, report.witness) == (0, ())
+    assert calls == {"mv_holds": 1, "tmv_holds": 2**9 - 1}
+
+
 def test_report_shape():
     report = max_total_mv(cycle(4))
     assert isinstance(report, InvariantReport)
