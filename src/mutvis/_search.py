@@ -1,4 +1,5 @@
-"""Branch-and-bound maximization over a downward-closed family of vertex sets.
+"""Branch-and-bound maximization over a family of vertex sets closed under
+dropping any member but the lowest (a downward-closed family is one).
 
 The searcher grows subsets of a fixed candidate list in ascending vertex
 order, so the first maximum it completes is the lexicographically smallest
@@ -7,8 +8,9 @@ remaining suffix are bitmasks; children are taken from the suffix by
 low-bit extraction.  Every prune only drops branches that cannot beat the
 incumbent, which keeps it exact:
 
-* a failed membership test cuts the whole branch, since every superset of an
-  infeasible set is infeasible too;
+* a failed membership test cuts the whole branch, since every set of the
+  branch is a superset of the infeasible set with the same lowest vertex,
+  and so infeasible too;
 * known infeasible "blockers" are never proposed.  A blocker of two
   vertices is an edge of the *conflict graph*: each candidate carries a
   bitmask of the candidates it conflicts with, and choosing a vertex drops
@@ -49,8 +51,13 @@ incumbent, which keeps it exact:
 The searcher calls ``feasible`` only on a set grown by one vertex above all
 of its members from a set ``feasible`` has already accepted (or from the
 empty set).  A membership test may rely on that, and check only what the
-new vertex can break; the blocker lookup above relies on it too, so every
-seeded or learned blocker must be infeasible.
+new vertex can break; the blocker lookup above relies on it too, so no
+seeded or learned blocker may lie inside a set ``feasible`` accepts later.
+Every set in the subtree of a root child v has lowest vertex v, and the
+root takes its children in ascending order, so a blocker learned from a
+mask with lowest vertex ``low`` need only lie in no feasible set whose
+lowest vertex is at least ``low``; an infeasible subset of the mask always
+qualifies when the family is downward closed.
 
 Blockers may be seeded up front (edges, when independence is part of the
 family, or the distance-two cores of total mutual-visibility) or learned
@@ -100,14 +107,17 @@ def lex_first_maximum(
 ) -> tuple[int, tuple[int, ...]]:
     """Return ``(size, members)`` of a largest feasible subset of ``candidates``.
 
-    ``feasible`` takes a bitmask over vertex ids and must describe a
-    downward-closed family containing the empty set.  It is only called on
-    a mask whose highest vertex was just added to the empty set or to a mask
-    it accepted earlier.  Among maximum subsets the lexicographically
-    smallest member sequence is returned.  ``learn``, when given, maps an
-    infeasible bitmask to an infeasible subset of it (ideally minimal);
-    both learned and seeded blockers are used only for pruning, so they
-    never change the reported maximum.
+    ``feasible`` takes a bitmask over vertex ids and must describe a family
+    that contains the empty set and is closed under dropping any member
+    except the lowest.  It is only called on a mask whose highest vertex
+    was just added to the empty set or to a mask it accepted earlier.
+    Among maximum subsets the lexicographically smallest member sequence
+    is returned.  ``learn``, when given, maps an infeasible bitmask to a
+    blocker (ideally small) that lies in no feasible set whose lowest
+    vertex is at least the mask's lowest vertex, such as an infeasible
+    subset of the mask in a downward-closed family.  Seeded blockers must
+    lie in no feasible set.  Both are used only for pruning, so they never
+    change the reported maximum.
     """
     everyone = sum({1 << v for v in candidates})
     log: list[int] = []  # blockers of other than two vertices, oldest first

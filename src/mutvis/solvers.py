@@ -27,6 +27,7 @@ from .errors import CapExceeded, GraphError, WitnessError
 from .graph import (
     DEFAULT_ALPHA_CAP,
     Graph,
+    automorphism_orbits,
     girth,
     independence_number,
     is_connected,
@@ -135,16 +136,45 @@ def max_independent_total_mv(g: Graph, *, cap: int = DEFAULT_BP_CAP) -> Invarian
 def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
     """Largest mutual-visibility set: only pairs inside the set must stay
     visible, so every vertex is a candidate and there is no bypass
-    restriction.  Raises CapExceeded when the order exceeds ``cap``."""
+    restriction.  Raises CapExceeded when the order exceeds ``cap``.
+
+    The search breaks symmetry with a lex-leader rule: it accepts a set S
+    only when every member u has rep(u) >= min(S), where rep(u) is the
+    lowest vertex of u's orbit (``automorphism_orbits``).  So a root child
+    is an orbit representative, and within it no member may have a
+    lower-numbered automorphic image than the set's lowest vertex.  Values
+    and lex-first witnesses stay the same:
+
+    * if some u in the lex-first maximum S* had rep(u) < min(S*), an
+      automorphism sigma with sigma(u) = rep(u) would map S* to a maximum
+      sigma(S*) holding rep(u), which is lex-smaller.  So S* is accepted;
+    * the accepted family is closed under dropping any member except the
+      lowest, which the searcher needs of it;
+    * a mask refused by the rule learns its highest vertex ``{top}``.  That
+      singleton lies in no accepted set whose lowest vertex is at least the
+      mask's lowest vertex ``low``, and every set the search visits later
+      has such a lowest vertex, since root children come in ascending order.
+    """
     _require_connected(g)
     if g.order > cap:
         raise CapExceeded(
             f"order {g.order} exceeds the search cap {cap}; raise it with --cap-n"
         )
     oracle = VisibilityOracle.for_graph(g)
-    value, witness = lex_first_maximum(
-        range(g.order), oracle.mv_grows, learn=oracle.minimal_mv_blocker
-    )
+    rep = automorphism_orbits(g)
+
+    def feasible(mask: int) -> bool:
+        # The rest of mask was accepted, so only the new top can break the rule.
+        top = mask.bit_length() - 1
+        return rep[top] >= (mask & -mask).bit_length() - 1 and oracle.mv_grows(mask)
+
+    def learn(mask: int) -> int:
+        top = mask.bit_length() - 1
+        if rep[top] < (mask & -mask).bit_length() - 1:
+            return 1 << top
+        return oracle.minimal_mv_blocker(mask)
+
+    value, witness = lex_first_maximum(range(g.order), feasible, learn=learn)
     _validate(g, "mu", value, witness)
     return InvariantReport("mu", value, witness, "pruned-search", g.name)
 

@@ -125,9 +125,15 @@ class VisibilityOracle:
     # -- single-source engine ------------------------------------------------
 
     def _first_blocked_target(self, src: int, obstacles: int, targets: int) -> int:
-        """Lowest target whose restricted distance from src exceeds the true
-        one, or -1 when every target stays visible.  Obstacles absorb: they
-        are reached but not expanded; the source always expands."""
+        """A target whose restricted distance from src exceeds the true one,
+        or -1 when every target stays visible.  Obstacles absorb: they are
+        reached but not expanded; the source always expands.
+
+        The search returns at the first depth k where it sees a blocked
+        target: the lowest target at true distance k that k steps did not
+        reach, or, when the restricted search dies out, the lowest target
+        it never reached.  So a nearer blocked target wins over a lower one,
+        and the target returned need not be the lowest blocked."""
         adj = self.adj
         levels = self.levels[src]
         depth = len(levels)
@@ -314,8 +320,13 @@ def is_total_mv_set(g: Graph, x: AbstractSet[int]) -> bool:
 
 
 def total_mv_violation(g: Graph, x: AbstractSet[int]) -> tuple[int, int] | None:
-    """First pair (by vertex id) that x blocks, or None when x is total
-    mutual-visible.  Handy when a failing check needs explaining."""
+    """A pair (a, b), a < b, that x blocks, or None when x is total
+    mutual-visible.  Handy when a failing check needs explaining.
+
+    a is the lowest vertex blocked from some higher vertex.  b is the first
+    of those higher vertices that the BFS from a finds blocked (see
+    ``VisibilityOracle._first_blocked_target``), which is not always the
+    lowest of them."""
     mask = _inner_obstacles(g, x)
     return VisibilityOracle.for_graph(g).tmv_violation(mask) if mask else None
 

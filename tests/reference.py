@@ -8,7 +8,7 @@ instead of pruned search.  Only usable for small graphs.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 INF = float("inf")
 
@@ -133,3 +133,15 @@ def brute_muit(g):
 
 def brute_alpha(g):
     return len(_lex_first_maximum(g.order, lambda s: is_independent(g, s)))
+
+
+def orbit_minima(g):
+    """For each vertex, the lowest vertex of its orbit under the full
+    automorphism group, found by trying every permutation."""
+    edges = set(g.edges())
+    low = list(range(g.order))
+    for p in permutations(range(g.order)):
+        if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges):
+            for u in range(g.order):
+                low[p[u]] = min(low[p[u]], u)
+    return tuple(low)

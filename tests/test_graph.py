@@ -21,7 +21,9 @@ from mutvis import (
     max_independent_set,
     min_degree,
 )
-from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, star
+from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, random_tree, star
+from mutvis.graph import automorphism_orbits
+from mutvis.specs import build, graph_of
 from mutvis.verify import random_connected_graph
 
 
@@ -178,3 +180,32 @@ def test_independent_set_predicate():
     assert is_independent_set(g, {0, 2})
     assert not is_independent_set(g, {0, 1})
     assert is_independent_set(g, frozenset())
+
+
+def test_automorphism_orbits_are_the_full_groups_orbits():
+    # Brute force over every permutation, on seeded connected graphs and
+    # trees of order up to 7; both kinds hold many symmetric graphs.
+    graphs = [random_connected_graph(1 + i % 7, 2600 + i) for i in range(70)]
+    graphs += [random_tree(2 + i % 6, 2700 + i) for i in range(30)]
+    symmetric = 0
+    for g in graphs:
+        want = reference.orbit_minima(g)
+        assert automorphism_orbits(g) == want, g.name
+        symmetric += want != tuple(range(g.order))
+    assert symmetric >= 50
+
+
+def test_automorphism_orbits_of_known_graphs():
+    for n in (3, 4, 7, 10):
+        assert automorphism_orbits(cycle(n)) == (0,) * n
+    for n in (1, 2, 5, 8):
+        assert automorphism_orbits(path(n)) == tuple(min(i, n - 1 - i) for i in range(n))
+    assert automorphism_orbits(star(1)) == (0, 0)
+    for k in (2, 5):
+        assert automorphism_orbits(star(k)) == (0,) + (1,) * k
+    for spec in ("petersen", "cp(path:2,petersen)", "cp(complete:3,complete:4)", "cp(complete:5,complete:6)"):
+        g = graph_of(build(spec))
+        assert automorphism_orbits(g) == (0,) * g.order, spec
+    grid = graph_of(build("cp(path:3,path:3)"))
+    assert automorphism_orbits(grid) == (0, 1, 0, 1, 4, 1, 0, 1, 0)
+    assert automorphism_orbits(grid) is automorphism_orbits(grid)

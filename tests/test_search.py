@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import mutvis._search
+import mutvis.graph
 import mutvis.solvers
 import reference
 from mutvis import (
@@ -20,6 +21,7 @@ from mutvis import (
 )
 from mutvis._search import lex_first_maximum
 from mutvis.generators import biclique, complete, cycle, path, star
+from mutvis.graph import automorphism_orbits
 from mutvis.verify import random_connected_graph
 from mutvis.visibility import VisibilityOracle
 
@@ -94,6 +96,42 @@ def test_matches_brute_force_on_random_families(mode):
             seed_blockers=seeds,
         )
         assert got == _brute_force(candidates, blockers), (candidates, blockers)
+
+
+def test_matches_brute_force_on_lex_leader_families():
+    # The contract's wider family: closed under dropping any member but the
+    # lowest.  A set is feasible when it holds no blocker and every member u
+    # has rep[u] >= its lowest member; a refusal by that rule learns {top},
+    # which holds only for sets whose lowest vertex is at least the mask's.
+    rng = random.Random("search:lex-leader")
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        blockers = _random_family(rng, n, 4)
+        rep = [rng.randint(0, u) if rng.random() < 0.4 else u for u in range(n)]
+        candidates = rng.sample(range(n), rng.randint(0, n))
+
+        def allowed(mask):
+            low = (mask & -mask).bit_length() - 1
+            ok = all(rep[u] >= low for u in range(n) if mask >> u & 1)
+            return ok and not any(b & mask == b for b in blockers)
+
+        def feasible(mask):
+            top = mask.bit_length() - 1
+            return rep[top] >= (mask & -mask).bit_length() - 1 and allowed(mask)
+
+        def learn(mask):
+            top = mask.bit_length() - 1
+            if rep[top] < (mask & -mask).bit_length() - 1:
+                return 1 << top
+            return next(b for b in blockers if b & mask == b)
+
+        want = (0, ())
+        for r in range(len(candidates), 0, -1):
+            hit = next((c for c in combinations(sorted(candidates), r) if allowed(sum(1 << v for v in c))), None)
+            if hit is not None:
+                want = (r, hit)
+                break
+        assert lex_first_maximum(candidates, feasible, learn=learn) == want, (candidates, blockers, rep)
 
 
 def test_pair_conflicts_alone_give_an_independent_set():
@@ -231,17 +269,56 @@ def test_blocker_limit_changes_no_answer(monkeypatch, limit):
         assert (r.value, r.witness) == want == (o.value, o.witness), spec
 
 
+def _plain_mu(g):
+    oracle = VisibilityOracle.for_graph(g)
+    return lex_first_maximum(range(g.order), oracle.mv_grows, learn=oracle.minimal_mv_blocker)
+
+
+SYMMETRIC_SPECS = [
+    "petersen", "cycle:8", "biclique:3,4", "cp(path:3,path:3)", "cp(cycle:4,cycle:4)",
+    "cp(complete:3,complete:4)", "cp(star:3,path:3)", "cp(biclique:2,3,path:2)",
+    "cp(cycle:5,complete:2)", "cp(path:2,petersen)",
+]
+
+
+def test_orbit_pruning_keeps_every_mu_answer():
+    # max_mv skips sets whose automorphic image was searched before; the
+    # plain search with the same oracle must give the same value and
+    # witness.  Most of these graphs have a non-trivial orbit, so a rule
+    # that is not invariant under automorphisms (degree classes, say) fails.
+    graphs = [random_connected_graph(4 + i % 7, 5000 + i) for i in range(300)]
+    graphs += [graph_of(build(spec)) for spec in SYMMETRIC_SPECS]
+    symmetric = 0
+    for g in graphs:
+        r = max_mv(g)
+        assert (r.value, r.witness) == _plain_mu(g), g.name
+        symmetric += automorphism_orbits(g) != tuple(range(g.order))
+    assert symmetric >= 150
+
+
+def test_mu_without_orbits_gives_the_same_answers(monkeypatch):
+    # Out of orbit budget every vertex is its own orbit, and the rule
+    # prunes nothing; values and witnesses must not move.
+    specs = SYMMETRIC_SPECS + ["fig1", "cp(path:4,cycle:5)"]
+    expected = [max_mv(graph_of(build(spec))) for spec in specs]
+    monkeypatch.setattr(mutvis.graph, "ORBIT_STEP_BUDGET", 0)
+    for spec, want in zip(specs, expected):
+        g = graph_of(build(spec))
+        assert automorphism_orbits(g) == tuple(range(g.order)), spec
+        assert max_mv(g) == want, spec
+
+
 # Feasible and learn calls of the exact search on fixed inputs: the seven
 # anchor products of the benchmark's mu workload, and one biclique product
 # whose mut is proved by pair conflicts and colour classes alone.
 SEARCH_EFFORT = {
-    ("mu", "cp(cycle:4,complete:5)"): (2300, 110),
-    ("mu", "cp(complete:4,complete:5)"): (2214, 60),
-    ("mu", "cp(cycle:5,cycle:4)"): (1504, 181),
-    ("mu", "cp(biclique:2,2,path:5)"): (1969, 229),
-    ("mu", "cp(star:3,cycle:5)"): (1766, 215),
-    ("mu", "cp(path:4,cycle:5)"): (1567, 203),
-    ("mu", "cp(path:2,petersen)"): (985, 139),
+    ("mu", "cp(cycle:4,complete:5)"): (1034, 83),
+    ("mu", "cp(complete:4,complete:5)"): (1052, 69),
+    ("mu", "cp(cycle:5,cycle:4)"): (700, 123),
+    ("mu", "cp(biclique:2,2,path:5)"): (728, 177),
+    ("mu", "cp(star:3,cycle:5)"): (751, 137),
+    ("mu", "cp(path:4,cycle:5)"): (667, 139),
+    ("mu", "cp(path:2,petersen)"): (421, 87),
     ("mut", "cp(biclique:3,4,biclique:4,4)"): (11127, 0),
 }
 

@@ -106,6 +106,20 @@ def test_violation_reports_a_blocked_pair():
     assert total_mv_violation(g, {0, 1}) is None
 
 
+def test_violation_source_is_the_lowest_blocked_source():
+    # The BFS from the source meets the blocked 6 (distance 2) before the
+    # lower blocked 4 (distance 3), so the pair is not the lowest blocked
+    # pair; its source is still the lowest vertex of any blocked pair.
+    g = random_connected_graph(11, 9007)
+    x = {0, 3, 4, 7, 9}
+    slow = reference.floyd_warshall(g)
+    blocked = [(a, b) for a, b in combinations(range(11), 2) if not reference.visible(g, x, a, b, slow)]
+    pair = total_mv_violation(g, x)
+    assert pair == (1, 6)
+    assert pair in blocked and (1, 4) in blocked
+    assert pair[0] == min(a for a, _ in blocked)
+
+
 def test_bypass_matches_convexity_definition():
     graphs = [random_connected_graph(4 + i % 6, 1300 + i) for i in range(20)]
     # Dense graphs and products, where many neighbour pairs are adjacent.
