@@ -146,102 +146,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return matrix
 
 
-# Most images automorphism_orbits tries over one graph.
-ORBIT_STEP_BUDGET = 20_000
-
-
-def automorphism_orbits(g: Graph) -> tuple[int, ...]:
-    """For each vertex, the lowest vertex of its orbit under the group
-    generated by the automorphisms found.  Cached per graph.
-
-    An automorphism of a connected graph is exactly a bijection that keeps
-    every distance.  For each vertex w not yet in a lower orbit, and each
-    lower orbit representative v with the same sorted distance row, a
-    backtracking search maps the vertices in BFS order from v, starting
-    with v -> w.  The images open to a vertex are the unused vertices with
-    its sorted distance row at the right distance from every image so far.
-    A union-find joins u and phi(u) for every vertex u of every
-    automorphism phi found, so the classes are the orbits of the group
-    those automorphisms generate.  At most ``ORBIT_STEP_BUDGET`` images are
-    tried in all; running out only leaves the orbits finer, never wrong.
-    """
-    cached = g._cache.get("orbits")
-    if cached is not None:
-        return cached
-    n = g.order
-    d = all_pairs_distances(g)
-    rows = [d.row(u) for u in range(n)]
-    at = []  # at[q][k]: mask of the vertices at distance k from q
-    for row in rows:
-        masks = [0] * (max(row) + 1)
-        for x, k in enumerate(row):
-            masks[k] |= 1 << x
-        at.append(masks)
-    profile = [tuple(sorted(row)) for row in rows]
-    alike: dict[tuple[int, ...], int] = {}
-    for u, p in enumerate(profile):
-        alike[p] = alike.get(p, 0) | 1 << u
-    parent = list(range(n))
-    budget = ORBIT_STEP_BUDGET
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        return u
-
-    def isometry(v: int, w: int) -> list[int] | None:
-        nonlocal budget
-        order = sorted(range(n), key=rows[v].__getitem__)
-        image = [0] * n
-        options = [1 << w] + [0] * (n - 1)
-        used = 0
-        i = 0
-        while True:
-            if not options[i]:
-                if i == 0:
-                    return None
-                i -= 1
-                used ^= 1 << image[order[i]]
-                continue
-            low = options[i] & -options[i]
-            options[i] ^= low
-            budget -= 1
-            if budget < 0:
-                return None
-            image[order[i]] = low.bit_length() - 1
-            used |= low
-            i += 1
-            if i == n:
-                return image
-            u = order[i]
-            ru = rows[u]
-            m = alike[profile[u]] & ~used
-            for p in order[:i]:
-                m &= at[image[p]][ru[p]]
-                if not m:
-                    break
-            options[i] = m
-
-    for w in range(1, n):
-        if parent[w] != w:
-            continue
-        for v in range(w):
-            if budget <= 0:
-                break
-            if parent[v] != v or profile[v] != profile[w]:
-                continue
-            phi = isometry(v, w)
-            if phi is not None:
-                for u, x in enumerate(phi):
-                    a, b = find(u), find(x)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-                break
-    cached = tuple(find(u) for u in range(n))
-    g._cache["orbits"] = cached
-    return cached
-
-
 def min_degree(g: Graph) -> int:
     return min(len(g._adj[u]) for u in range(g.order))
 

@@ -1,13 +1,14 @@
 """Exact solvers for the visibility invariants.
 
-Each maximization runs the shared branch-and-bound searcher over a
-downward-closed family:
+Each maximization runs the shared branch-and-bound searcher over a family
+closed under dropping any member but the lowest:
 
 * largest total mutual-visibility set, searched over bypass vertices only
   (a non-bypass vertex is the unique middle of some geodesic pair, so any
   set containing it hides that pair), with every distance-two core inside
   the candidates seeded as a blocker;
-* largest mutual-visibility set, searched over all vertices;
+* largest mutual-visibility set, searched over all vertices, with the
+  lex-leader orbit rule of ``max_mv`` breaking symmetry;
 * largest independent total mutual-visibility set, with edges inside the
   candidate list seeded as blockers as well.
 
@@ -27,7 +28,6 @@ from .errors import CapExceeded, GraphError, WitnessError
 from .graph import (
     DEFAULT_ALPHA_CAP,
     Graph,
-    automorphism_orbits,
     girth,
     independence_number,
     is_connected,
@@ -35,7 +35,14 @@ from .graph import (
     leaf_set,
     max_independent_set,
 )
-from .visibility import VisibilityOracle, bypass_set, distance_two_cores, is_mv_set, is_total_mv_set
+from .visibility import (
+    VisibilityOracle,
+    automorphism_orbits,
+    bypass_set,
+    distance_two_cores,
+    is_mv_set,
+    is_total_mv_set,
+)
 
 DEFAULT_BP_CAP = 30
 DEFAULT_N_CAP = 20

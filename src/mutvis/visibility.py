@@ -47,7 +47,8 @@ The oracle's distance levels come from one bitmask-frontier BFS per
 source; no distance matrix is built.  Their size grows with n times the
 sum of the eccentricities, so the oracle predicts it from the first BFS
 and refuses, with ``CapExceeded``, a graph whose masks would pass
-``LEVEL_MASK_LIMIT``.
+``LEVEL_MASK_LIMIT``.  ``automorphism_orbits``, for the ``mu`` search,
+backtracks over the same levels.
 """
 
 from __future__ import annotations
@@ -71,14 +72,13 @@ class VisibilityOracle:
     construction the instance only fills its cache of interior masks.
     """
 
-    __slots__ = ("n", "adj", "inner", "full", "above", "levels", "_interior")
+    __slots__ = ("n", "adj", "inner", "full", "levels", "_interior")
 
     def __init__(self, g: Graph):
         self.n = n = g.order
         self.adj = g.adjacency_masks()
         self.inner = inner_mask(g)
         self.full = (1 << n) - 1
-        self.above = tuple((self.full >> (u + 1)) << (u + 1) for u in range(n))
         first = self._bfs_levels(0)
         # d(u, w) <= d(u, 0) + d(0, w), so every source has at most
         # 2 * ecc(0) + 1 levels, each an int of at most n bits: 4 bytes per
@@ -187,7 +187,7 @@ class VisibilityOracle:
                     row = 0
                     for k in range(1, min(len(lv), len(lx) - dxv)):
                         row |= lv[k] & lx[dxv + k]
-                    pairs |= (row & self.above[x]) << (x * self.n)
+                    pairs |= (row >> (x + 1)) << (x * self.n + x + 1)
             self._interior[v] = pairs
         return pairs
 
@@ -198,13 +198,7 @@ class VisibilityOracle:
 
     def tmv_violation(self, obstacles: int) -> tuple[int, int] | None:
         obstacles &= self.inner
-        if obstacles == 0:
-            return None
-        for src in range(self.n - 1):
-            y = self._first_blocked_target(src, obstacles, self.above[src])
-            if y >= 0:
-                return (src, y)
-        return None
+        return self._violation(obstacles, self.full) if obstacles else None
 
     def mv_holds(self, members: int) -> bool:
         return self.mv_violation(members) is None
@@ -236,15 +230,17 @@ class VisibilityOracle:
         return True
 
     def mv_violation(self, members: int) -> tuple[int, int] | None:
-        rem = members
-        while rem:
+        return self._violation(members, members)
+
+    def _violation(self, obstacles: int, within: int) -> tuple[int, int] | None:
+        """The first pair (src, y) of ``within`` that obstacles block, trying
+        the sources in ascending order, each towards the members above it."""
+        rem = within
+        while rem & (rem - 1):  # some source has a member above it
             low = rem & -rem
-            rem &= rem - 1
+            rem ^= low
             src = low.bit_length() - 1
-            targets = members & self.above[src]
-            if not targets:
-                break
-            y = self._first_blocked_target(src, members, targets)
+            y = self._first_blocked_target(src, obstacles, rem)
             if y >= 0:
                 return (src, y)
         return None
@@ -277,6 +273,98 @@ class VisibilityOracle:
             return 0
         x, y = pair
         return self.minimal_pair_blocker(members, x, y) | (1 << x) | (1 << y)
+
+
+# Most images automorphism_orbits tries over one graph.
+ORBIT_STEP_BUDGET = 20_000
+
+
+def automorphism_orbits(g: Graph) -> tuple[int, ...]:
+    """For each vertex, the lowest vertex of its orbit under the group
+    generated by the automorphisms found.  Cached per graph.
+
+    An automorphism of a connected graph is exactly a bijection that keeps
+    every distance, so the search reads the oracle's distance levels.  For
+    each vertex w not yet in a lower orbit, and each lower orbit
+    representative v with the same level sizes, a backtracking search maps
+    the vertices in BFS order from v (level by level, low bit first),
+    starting with v -> w.  A vertex u may map to any x with u's level sizes
+    that lies in level k of p's image for each placed p at distance k >= 1
+    from u, which keeps x off every image so far.  A union-find joins u and
+    phi(u) for every vertex u of every automorphism phi found, so the
+    classes are the orbits of the group those automorphisms generate.  At
+    most ``ORBIT_STEP_BUDGET`` images are tried in all; running out only
+    leaves the orbits finer, never wrong.
+    """
+    cached = g._cache.get("orbits")
+    if cached is not None:
+        return cached
+    n = g.order
+    levels = VisibilityOracle.for_graph(g).levels
+    profile = [tuple(level.bit_count() for level in lv) for lv in levels]
+    alike: dict[tuple[int, ...], int] = {}
+    for u, p in enumerate(profile):
+        alike[p] = alike.get(p, 0) | 1 << u
+    parent = list(range(n))
+    budget = ORBIT_STEP_BUDGET
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    def isometry(v: int, w: int) -> list[int] | None:
+        nonlocal budget
+        order = [x for level in levels[v] for x in range(n) if level >> x & 1]
+        image = [0] * n
+        options = [1 << w] + [0] * (n - 1)
+        placed = 0
+        i = 0
+        while True:
+            if not options[i]:
+                if i == 0:
+                    return None
+                i -= 1
+                placed ^= 1 << order[i]
+                continue
+            low = options[i] & -options[i]
+            options[i] ^= low
+            budget -= 1
+            if budget < 0:
+                return None
+            image[order[i]] = low.bit_length() - 1
+            placed |= 1 << order[i]
+            i += 1
+            if i == n:
+                return image
+            u = order[i]
+            m = alike[profile[u]]
+            for k, level in enumerate(levels[u]):
+                rem = level & placed
+                while rem and m:
+                    p = rem & -rem
+                    rem ^= p
+                    m &= levels[image[p.bit_length() - 1]][k]
+            options[i] = m
+
+    for w in range(1, n):
+        if parent[w] != w:
+            continue
+        for v in range(w):
+            if budget <= 0:
+                break
+            if parent[v] != v or profile[v] != profile[w]:
+                continue
+            phi = isometry(v, w)
+            if phi is not None:
+                for u, x in enumerate(phi):
+                    a, b = find(u), find(x)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+                break
+    cached = tuple(find(u) for u in range(n))
+    g._cache["orbits"] = cached
+    return cached
 
 
 def _mask(s: AbstractSet[int]) -> int:

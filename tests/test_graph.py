@@ -5,6 +5,7 @@ import random
 import pytest
 
 import mutvis.graph
+import mutvis.visibility
 import reference
 from mutvis import (
     CapExceeded,
@@ -22,7 +23,7 @@ from mutvis import (
     min_degree,
 )
 from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, random_tree, star
-from mutvis.graph import automorphism_orbits
+from mutvis.visibility import automorphism_orbits
 from mutvis.specs import build, graph_of
 from mutvis.verify import random_connected_graph
 
@@ -209,3 +210,19 @@ def test_automorphism_orbits_of_known_graphs():
     grid = graph_of(build("cp(path:3,path:3)"))
     assert automorphism_orbits(grid) == (0, 1, 0, 1, 4, 1, 0, 1, 0)
     assert automorphism_orbits(grid) is automorphism_orbits(grid)
+
+
+# The orbits found before a tight budget runs out depend on the order in
+# which images are tried, which the full-group tests above cannot see.
+TIGHT_BUDGET_ORBITS = {
+    (12, "petersen"): (0, 0, 2, 3, 4, 5, 6, 5, 6, 9),
+    (12, "cp(path:3,path:3)"): (0, 1, 0, 3, 4, 3, 6, 7, 6),
+    (40, "cp(cycle:4,complete:5)"): (0, 0, 0, 3, 4, 5, 5, 5, 8, 9, 10, 10, 10, 13, 14, 15, 15, 15, 18, 19),
+    (40, "cp(path:4,cycle:5)"): (0,) * 5 + (5,) * 5 + (10,) * 5 + (15,) * 5,
+}
+
+
+def test_automorphism_orbits_under_a_tight_budget(monkeypatch):
+    for (budget, spec), want in TIGHT_BUDGET_ORBITS.items():
+        monkeypatch.setattr(mutvis.visibility, "ORBIT_STEP_BUDGET", budget)
+        assert automorphism_orbits(graph_of(build(spec))) == want, (budget, spec)

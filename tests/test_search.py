@@ -8,6 +8,7 @@ import pytest
 import mutvis._search
 import mutvis.graph
 import mutvis.solvers
+import mutvis.visibility
 import reference
 from mutvis import (
     build,
@@ -21,9 +22,8 @@ from mutvis import (
 )
 from mutvis._search import lex_first_maximum
 from mutvis.generators import biclique, complete, cycle, path, star
-from mutvis.graph import automorphism_orbits
 from mutvis.verify import random_connected_graph
-from mutvis.visibility import VisibilityOracle
+from mutvis.visibility import VisibilityOracle, automorphism_orbits
 
 
 def _random_family(rng: random.Random, n: int, largest: int = 4) -> list[int]:
@@ -301,11 +301,30 @@ def test_mu_without_orbits_gives_the_same_answers(monkeypatch):
     # prunes nothing; values and witnesses must not move.
     specs = SYMMETRIC_SPECS + ["fig1", "cp(path:4,cycle:5)"]
     expected = [max_mv(graph_of(build(spec))) for spec in specs]
-    monkeypatch.setattr(mutvis.graph, "ORBIT_STEP_BUDGET", 0)
+    monkeypatch.setattr(mutvis.visibility, "ORBIT_STEP_BUDGET", 0)
     for spec, want in zip(specs, expected):
         g = graph_of(build(spec))
         assert automorphism_orbits(g) == tuple(range(g.order)), spec
         assert max_mv(g) == want, spec
+
+
+def test_mu_builds_no_distance_matrix(monkeypatch):
+    # The orbits and the checks both run on the oracle's distance levels,
+    # so a mu solve builds no list-BFS distance matrix.
+    def graphs():
+        return [graph_of(build(spec)) for spec in SYMMETRIC_SPECS] + [
+            random_connected_graph(4 + i % 7, 5400 + i) for i in range(40)
+        ]
+
+    expected = [max_mv(g) for g in graphs()]
+
+    def refuse(g):
+        raise AssertionError("a mu solve built a distance matrix")
+
+    monkeypatch.setattr(mutvis.graph, "all_pairs_distances", refuse)
+    for g, want in zip(graphs(), expected):
+        assert max_mv(g) == want, g.name
+        assert "dist" not in g._cache, g.name
 
 
 # Feasible and learn calls of the exact search on fixed inputs: the seven
