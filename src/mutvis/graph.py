@@ -19,9 +19,9 @@ DEFAULT_ALPHA_CAP = 24
 class Graph:
     """Immutable simple graph on vertices ``0 .. order-1``.
 
-    Parallel edges collapse silently; self-loops and out-of-range endpoints
-    are rejected.  Equality and hashing are structural (order plus edge set),
-    ignoring the display name.
+    Parallel edges collapse silently; self-loops and endpoints that are not
+    vertex ids (``_is_index``) are rejected.  Equality and hashing are
+    structural (order plus edge set), ignoring the display name.
     """
 
     __slots__ = ("order", "name", "_adj", "_edge_count", "_hash", "_cache")
@@ -31,8 +31,11 @@ class Graph:
             raise GraphError(f"graph order must be a positive integer, got {order!r}")
         adj: list[set[int]] = [set() for _ in range(order)]
         for edge in edges:
-            u, v = edge
-            if not (0 <= u < order and 0 <= v < order):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not a pair of vertices") from None
+            if not (type(u) is int and type(v) is int and 0 <= u < order and 0 <= v < order):
                 raise GraphError(f"edge {tuple(edge)!r} out of range for order {order}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} rejected")
@@ -258,8 +261,14 @@ def independence_number(g: Graph) -> int:
 # -- validation helpers ----------------------------------------------------
 
 
+def _is_index(x: object, n: int) -> bool:
+    # The one rule for vertex ids and product coordinates: exactly an int,
+    # so not a bool, in range(n).  Graph() inlines it in its edge loop.
+    return type(x) is int and 0 <= x < n
+
+
 def _check_vertex(g: Graph, u: int) -> None:
-    if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < g.order:
+    if not _is_index(u, g.order):
         raise GraphError(f"vertex {u!r} out of range for graph of order {g.order}")
 
 

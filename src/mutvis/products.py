@@ -17,7 +17,7 @@ from math import prod
 from typing import AbstractSet, Sequence
 
 from .errors import GraphError, WitnessError
-from .graph import Graph, is_connected, is_independent_set, _check_vertex_set
+from .graph import Graph, is_connected, is_independent_set, _check_vertex_set, _is_index
 from .visibility import bypass_set, is_total_mv_set
 
 
@@ -25,40 +25,42 @@ class ProductGraph:
     """A Cartesian product together with its coordinate maps.
 
     ``graph`` is an ordinary Graph over the product ids; ``factor_orders``
-    fixes the mixed-radix encoding.  Instances are immutable.
+    fixes the mixed-radix encoding and ``weights`` holds each coordinate's
+    id step, so coordinates c map to the id sum(c[i] * weights[i]).
+    Instances are immutable.
     """
 
-    __slots__ = ("graph", "factors", "factor_orders")
+    __slots__ = ("graph", "factors", "factor_orders", "weights")
 
     def __init__(self, graph: Graph, factors: tuple[Graph, ...]):
         self.graph = graph
         self.factors = factors
         self.factor_orders = tuple(f.order for f in factors)
+        self.weights = _weights(self.factor_orders)
 
     def encode(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factor_orders):
             raise GraphError(
                 f"expected {len(self.factor_orders)} coordinates, got {len(coords)}"
             )
-        vid = 0
         for c, base in zip(coords, self.factor_orders):
-            if not 0 <= c < base:
+            if not _is_index(c, base):
                 raise GraphError(f"coordinate {c} out of range for factor of order {base}")
-            vid = vid * base + c
-        return vid
+        return sum(c * w for c, w in zip(coords, self.weights))
 
     def decode(self, vid: int) -> tuple[int, ...]:
-        if not 0 <= vid < self.graph.order:
+        if not _is_index(vid, self.graph.order):
             raise GraphError(f"vertex {vid} out of range for order {self.graph.order}")
-        coords = []
-        for base in reversed(self.factor_orders):
-            vid, c = divmod(vid, base)
-            coords.append(c)
-        return tuple(reversed(coords))
+        return tuple(vid // w % base for w, base in zip(self.weights, self.factor_orders))
 
     def __repr__(self) -> str:
         inner = ", ".join(f.name or f"order {f.order}" for f in self.factors)
         return f"ProductGraph({inner})"
+
+
+def _weights(orders: Sequence[int]) -> tuple[int, ...]:
+    """Id step of each coordinate: the product of the orders after it."""
+    return tuple(prod(orders[i + 1 :]) for i in range(len(orders)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
@@ -70,7 +72,11 @@ def k_fold_product(factors: Sequence[Graph]) -> ProductGraph:
     """Iterated Cartesian product with flattened coordinates.
 
     The product is associative, so the graph does not depend on grouping;
-    building all factors in one pass keeps the coordinate maps flat.
+    building all factors in one pass keeps the coordinate maps flat.  Each
+    factor edge (u, v), at a factor of weight w, yields the product edges
+    (b + u*w, b + v*w) for every id b whose coordinate there is 0.  That
+    makes sum_i |E_i| * prod_{j != i} n_j edges, the count ``specs._size``
+    checks before building.
     """
     factors = tuple(factors)
     if len(factors) < 2:
@@ -80,24 +86,11 @@ def k_fold_product(factors: Sequence[Graph]) -> ProductGraph:
             raise GraphError("product factors must be connected")
     orders = [f.order for f in factors]
     n = prod(orders)
-
-    # Weight of each coordinate position in the mixed-radix id.
-    weights = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        weights[i] = weights[i + 1] * orders[i + 1]
-
     edges: list[tuple[int, int]] = []
-    coords = [0] * len(factors)
-    for vid in range(n):
-        rem = vid
-        for i, w in enumerate(weights):
-            coords[i], rem = divmod(rem, w)
-        for i, f in enumerate(factors):
-            base = coords[i]
-            w = weights[i]
-            for nb in f.neighbors(base):
-                if nb > base:
-                    edges.append((vid, vid + (nb - base) * w))
+    for f, base, w in zip(factors, orders, _weights(orders)):
+        zeros = [hi + lo for hi in range(0, n, base * w) for lo in range(w)]
+        for u, v in f.edges():
+            edges.extend((b + u * w, b + v * w) for b in zeros)
     name = "cp(" + ",".join(f.name or f"?{f.order}" for f in factors) + ")"
     return ProductGraph(Graph(n, edges, name=name), factors)
 
@@ -107,17 +100,14 @@ def layer(p: ProductGraph, factor_index: int, fixed_coords: Sequence[int]) -> fr
     every other coordinate is pinned by ``fixed_coords`` (given in factor
     order, skipping the free one)."""
     k = len(p.factor_orders)
-    if not 0 <= factor_index < k:
+    if not _is_index(factor_index, k):
         raise GraphError(f"factor index {factor_index} out of range for {k} factors")
     if len(fixed_coords) != k - 1:
         raise GraphError(f"expected {k - 1} fixed coordinates, got {len(fixed_coords)}")
     slot = iter(fixed_coords)
-    template = [0 if i == factor_index else next(slot) for i in range(k)]
-    ids = []
-    for c in range(p.factor_orders[factor_index]):
-        template[factor_index] = c
-        ids.append(p.encode(template))
-    return frozenset(ids)
+    start = p.encode([0 if i == factor_index else next(slot) for i in range(k)])
+    w = p.weights[factor_index]
+    return frozenset(start + c * w for c in range(p.factor_orders[factor_index]))
 
 
 def _two_factors(p: ProductGraph) -> tuple[Graph, Graph]:

@@ -57,6 +57,14 @@ def test_compute_text_decodes_product_witnesses(capsys):
     assert lines[0] == "mut(cp(complete:3,complete:5)) = 5"
     assert lines[1].startswith("witness:")
     assert "(0,4)" in lines[2]
+    code, out, _ = run_cli(
+        capsys, "compute", "--graph", "cp(path:2,cycle:3,complete:2)",
+        "--invariant", "mut", "--witness", "--format", "text",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "mut(cp(path:2,cycle:3,complete:2)) = 3"
+    assert lines[2] == "witness coords: (0,0,0) (0,1,0) (0,2,0)"
 
 
 def test_compute_csv(capsys):

@@ -46,6 +46,10 @@ def test_rejects_bad_edges():
         Graph(3, [(-1, 0)])
     with pytest.raises(GraphError):
         Graph(3, [(1, 1)])
+    # Endpoints follow the vertex rule: exactly an int, so not a bool, in range.
+    for edge in [(True, 2), (0.5, 1), ("0", 1), (0, 1, 2), (0,)]:
+        with pytest.raises(GraphError):
+            Graph(3, [edge])
 
 
 def test_duplicate_edges_merge():

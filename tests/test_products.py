@@ -22,27 +22,33 @@ from mutvis.generators import complete, cycle, g_m, path, star, theta
 from mutvis.specs import build
 
 
-def _expected_edges(g, h):
+def _expected_edges(factors):
+    """Product edges as pairs of ids, straight from the definition: the
+    coordinate tuples are numbered in itertools.product order (the last
+    factor varies fastest) and two tuples are adjacent when they differ in
+    exactly one coordinate, along an edge of that factor."""
+    coords = list(cross(*(range(f.order) for f in factors)))
     edges = set()
-    for (a, b), (c, d) in cross(
-        cross(range(g.order), range(h.order)),
-        cross(range(g.order), range(h.order)),
-    ):
-        if a == c and h.has_edge(b, d):
-            edges.add(((a, b), (c, d)))
-        elif b == d and g.has_edge(a, c):
-            edges.add(((a, b), (c, d)))
-    return {tuple(sorted(e)) for e in edges}
+    for u, x in enumerate(coords):
+        for v, y in enumerate(coords[u + 1 :], start=u + 1):
+            diff = [i for i in range(len(factors)) if x[i] != y[i]]
+            if len(diff) == 1 and factors[diff[0]].has_edge(x[diff[0]], y[diff[0]]):
+                edges.add((u, v))
+    return edges
 
 
 def test_adjacency_follows_the_coordinate_rule():
-    for g, h in [(path(3), cycle(3)), (star(2), complete(2)), (cycle(4), path(2))]:
-        p = cartesian_product(g, h)
-        got = {
-            tuple(sorted((p.decode(u), p.decode(v))))
-            for u, v in p.graph.edges()
-        }
-        assert got == _expected_edges(g, h)
+    nested = build("cp(cp(path:2,complete:2),cp(cycle:3,path:2))")
+    assert nested.factor_orders == (2, 2, 3, 2)
+    assert (nested.graph.order, nested.graph.num_edges) == (24, 60)
+    for p in [
+        cartesian_product(path(3), cycle(3)),
+        cartesian_product(star(2), complete(2)),
+        cartesian_product(cycle(4), path(2)),
+        k_fold_product([path(2), cycle(3), star(2)]),
+        nested,
+    ]:
+        assert set(p.graph.edges()) == _expected_edges(p.factors)
 
 
 def test_order_and_size_formulas():
@@ -78,6 +84,13 @@ def test_encode_validates_coordinates():
         p.encode((3, 0))
     with pytest.raises(GraphError):
         p.encode((0, -1))
+    # Coordinates and ids follow the vertex rule: exactly an int, in range.
+    for coords in [(1.5, 0), (True, 0)]:
+        with pytest.raises(GraphError):
+            p.encode(coords)
+    for vid in [2.5, True]:
+        with pytest.raises(GraphError):
+            p.decode(vid)
 
 
 def test_nested_products_flatten_to_the_same_ids():
@@ -122,6 +135,10 @@ def test_layers():
         layer(p, 2, (0,))
     with pytest.raises(GraphError):
         layer(p, 0, (1, 2))
+    with pytest.raises(GraphError):
+        layer(p, 0, (1.5,))
+    with pytest.raises(GraphError):
+        layer(p, True, (1,))
 
 
 def test_lower_bound_witness_builds_a_verified_set():

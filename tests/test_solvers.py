@@ -12,6 +12,7 @@ from mutvis import (
     Graph,
     GraphError,
     InvariantReport,
+    WitnessError,
     alpha_report,
     build,
     bypass_report,
@@ -217,6 +218,22 @@ def test_solvers_require_connected_input():
     for fn in (max_total_mv, max_independent_total_mv, max_mv, mut_is_zero):
         with pytest.raises(GraphError):
             fn(g)
+
+
+@pytest.mark.parametrize(
+    "solver, kind, g, answer",
+    [
+        (max_total_mv, "mut", cycle(4), (2, (0, 2))),  # the opposite pair blocks 1-3
+        (max_independent_total_mv, "muit", cycle(4), (2, (0, 1))),  # adjacent
+        (max_mv, "mu", path(4), (3, (0, 1, 3))),  # 1 blocks 0-3
+    ],
+)
+def test_validate_refuses_a_wrong_witness(monkeypatch, solver, kind, g, answer):
+    # A searcher that returns a right-sized but wrong set must not get its
+    # answer through: _validate re-checks it against the definition.
+    monkeypatch.setattr(mutvis.solvers, "lex_first_maximum", lambda *args, **kwargs: answer)
+    with pytest.raises(WitnessError, match=f"for {mutvis.solvers._KIND_NAMES[kind]} witness"):
+        solver(g)
 
 
 def test_zero_test_agrees_with_solver():

@@ -49,6 +49,8 @@ def test_build_rejects_malformed_expressions():
         "cp(path:2,path:2,path:2,path:2)",
         "cp(path:2,)",
         "cp(path:2",
+        "cp(path:3,(cycle:4)",
+        "cp(path:3),cycle:4)",
         "cp(2,2,path:2)",
         "theta",
         "path:1_000",
@@ -119,6 +121,7 @@ def test_parse_graph_file_errors(tmp_path):
         ("3\n0 3\n", "out of range"),
         ("3\n1 1\n", "self-loop"),
         ("3\n0 1 2\n", ""),
+        ("0\n", "vertex count must be positive"),
         ("zero\n0 1\n", ""),
         ("", ""),
         ("# only a comment\n", ""),
