@@ -18,18 +18,17 @@ from .generators import (
     generalized_complete,
     path,
     petersen,
+    random_connected_graph,
     random_tree,
     star,
     theta,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     girth,
     independence_number,
     is_connected,
-    is_convex,
     is_independent_set,
     leaf_set,
     max_independent_set,
@@ -60,7 +59,6 @@ from .verify import (
     VerificationRecord,
     describe_suites,
     named_corpus,
-    random_connected_graph,
     run_all,
     run_suite,
     suite_ids,
@@ -78,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "DistanceMatrix",
     "Graph",
     "GraphError",
     "InvariantReport",
@@ -106,7 +103,6 @@ __all__ = [
     "independence_number",
     "is_bypass_vertex",
     "is_connected",
-    "is_convex",
     "is_independent_set",
     "is_mv_set",
     "is_pair_visible",

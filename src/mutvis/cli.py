@@ -29,6 +29,10 @@ from .specs import build, graph_of, parse_graph_file, write_graph_file
 from .verify import SuiteOptions, run_all, run_suite, suite_ids
 from .visibility import bypass_set
 
+# Each randomized instance costs time and memory, so --count is bounded
+# to keep a verify run from ending in an out-of-memory kill.
+MAX_COUNT = 10_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,9 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="suite id, or 'all' (default); 'list' prints the registry")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N")
     p_verify.add_argument("--count", type=int, default=20, metavar="N",
-                          help="randomized instances per suite")
+                          help=f"randomized instances per suite, at most {MAX_COUNT}")
     p_verify.add_argument("--max-n", type=int, default=12, metavar="N",
-                          help="largest instance order the corpora may use")
+                          help="largest order in the named corpus (at most 10 in"
+                               " fam:oracle) and cor:theta's length budget; the random"
+                               " and tree corpora and the product suites ignore it")
     add_common(p_verify)
 
     p_export = sub.add_parser("export", help="write a graph to the plain edge-list format")
@@ -228,6 +234,9 @@ def main(argv=None) -> int:
             print(f"mutvis: --{flag.replace('_', '-')} must not be negative, got {value}",
                   file=sys.stderr)
             return 2
+    if getattr(args, "count", 0) > MAX_COUNT:
+        print(f"mutvis: --count must be at most {MAX_COUNT}, got {args.count}", file=sys.stderr)
+        return 2
     try:
         if args.command == "compute":
             return _cmd_compute(args)

@@ -158,6 +158,16 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, _prufer_edges(rng, n), name=f"randomtree:{n},{seed}")
 
 
+def random_connected_graph(n: int, seed: int) -> Graph:
+    """Seeded connected graph: a random tree plus extra edges at rate 0.3."""
+    rng = random.Random(f"mutvis:{n}:{seed}")
+    edges = set(_prufer_edges(rng, n)) if n >= 2 else set()
+    for u, v in combinations(range(n), 2):
+        if (u, v) not in edges and rng.random() < 0.3:
+            edges.add((u, v))
+    return Graph(n, sorted(edges), name=f"random:{n},{seed}")
+
+
 def _prufer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     if n == 2:
         return [(0, 1)]

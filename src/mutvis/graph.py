@@ -1,8 +1,8 @@
 """Simple undirected graphs and the metric primitives everything else builds on.
 
 Vertices are the integers ``0 .. order-1``.  Graphs are immutable once
-constructed; derived data (distance matrix, adjacency bitmasks) is computed
-once per graph and shared by all later queries.
+constructed; derived data (adjacency bitmasks) is computed once per graph
+and shared by all later queries.
 """
 
 from __future__ import annotations
@@ -96,22 +96,6 @@ class Graph:
         return f"Graph(order={self.order}, edges={self._edge_count}{label})"
 
 
-class DistanceMatrix:
-    """All-pairs shortest-path distances of a connected graph, read-only."""
-
-    __slots__ = ("order", "_rows")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self.order = len(rows)
-        self._rows = rows
-
-    def dist(self, u: int, v: int) -> int:
-        return self._rows[u][v]
-
-    def row(self, u: int) -> tuple[int, ...]:
-        return self._rows[u]
-
-
 def _bfs_distances(g: Graph, source: int) -> list[int]:
     dist = [-1] * g.order
     dist[source] = 0
@@ -130,23 +114,15 @@ def is_connected(g: Graph) -> bool:
     return _bfs_distances(g, 0).count(-1) == 0
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises GraphError on disconnected input.
-
-    The matrix is built once per graph and shared by every later call.
-    """
-    cached = g._cache.get("dist")
-    if cached is not None:
-        return cached
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distance rows by BFS from every vertex; raises GraphError on disconnected input."""
     rows = []
     for source in range(g.order):
         row = _bfs_distances(g, source)
         if -1 in row:
             raise GraphError("distance matrix requires a connected graph")
         rows.append(tuple(row))
-    matrix = DistanceMatrix(tuple(rows))
-    g._cache["dist"] = matrix
-    return matrix
+    return tuple(rows)
 
 
 def min_degree(g: Graph) -> int:
@@ -208,26 +184,6 @@ def _distance_avoiding_edge(g: Graph, u: int, v: int) -> int:
                     return dx
                 queue.append(w)
     return dist[v]
-
-
-def is_convex(g: Graph, d: DistanceMatrix, s: AbstractSet[int]) -> bool:
-    """True iff no vertex outside ``s`` lies on a geodesic between members.
-
-    A vertex v is on some shortest x,y-path exactly when
-    d(x, v) + d(v, y) = d(x, y).
-    """
-    _check_vertex_set(g, s)
-    members = sorted(s)
-    outside = [v for v in range(g.order) if v not in s]
-    for v in outside:
-        rv = d.row(v)
-        for i, x in enumerate(members):
-            dxv = rv[x]
-            rx = d.row(x)
-            for y in members[i + 1 :]:
-                if dxv + rv[y] == rx[y]:
-                    return False
-    return True
 
 
 def is_independent_set(g: Graph, s: AbstractSet[int]) -> bool:

@@ -43,6 +43,8 @@ _FAMILIES: dict[str, tuple[Callable[..., Graph], int | None, Callable[..., tuple
     "gm": (generators.g_m, 1, lambda m: (3 * m + 3, 4 * m + 2)),
     "biclique": (generators.biclique, 2, lambda a, b: (a + b, a * b)),
     "randomtree": (generators.random_tree, 2, lambda n, seed: (n, n - 1)),
+    # The edge count depends on the seed; n(n-1)/2 bounds it.
+    "random": (generators.random_connected_graph, 2, lambda n, seed: (n, n * (n - 1) // 2)),
     "theta": (
         generators.theta,
         None,

@@ -19,11 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded, WitnessError
-from .generators import _prufer_edges, random_tree
+from .generators import random_connected_graph, random_tree
 from .graph import (
     Graph,
     girth,
@@ -44,9 +44,12 @@ from .visibility import bypass_set, is_bypass_vertex, is_mv_set, is_total_mv_set
 
 @dataclass(frozen=True)
 class SuiteOptions:
-    """Shared knobs: seed and count drive the randomized corpora, max_n
-    bounds instance sizes, the caps mirror the solver flags.  n_cap bounds
-    both the mu and the alpha search; None keeps each search's default."""
+    """Shared knobs: seed and count drive the randomized corpora, the caps
+    mirror the solver flags.  max_n bounds only the orders of the named
+    corpus (at most 10 in fam:oracle) and cor:theta's length budget; the
+    random and tree corpora and the product suites ignore it.  n_cap
+    bounds both the mu and the alpha search; None keeps each search's
+    default."""
 
     seed: int = 0
     count: int = 20
@@ -152,16 +155,6 @@ def named_corpus(max_n: int = 12) -> tuple[Graph, ...]:
         if g.order <= max_n:
             graphs.append(g)
     return tuple(graphs)
-
-
-def random_connected_graph(n: int, seed: int) -> Graph:
-    """Seeded connected graph: a random tree plus extra edges at rate 0.3."""
-    rng = random.Random(f"mutvis:{n}:{seed}")
-    edges = set(_prufer_edges(rng, n)) if n >= 2 else set()
-    for u, v in combinations(range(n), 2):
-        if (u, v) not in edges and rng.random() < 0.3:
-            edges.add((u, v))
-    return Graph(n, sorted(edges), name=f"random:{n},{seed}")
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import mutvis.verify
 import mutvis.visibility
-from mutvis import parse_graph_file
-from mutvis.cli import main
+from mutvis import build, parse_graph_file, random_connected_graph
+from mutvis.cli import MAX_COUNT, main
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +184,15 @@ def test_negative_numbers_exit_2(capsys, argv):
     assert err == f"mutvis: {flag} must not be negative, got {value}\n"
 
 
+def test_count_above_the_limit_exits_2(capsys):
+    # The bound is checked before any suite runs, so "list" shows it cheaply.
+    code, out, err = run_cli(capsys, "verify", "--theorem", "list", "--count", str(MAX_COUNT))
+    assert code == 0 and out and not err
+    code, out, err = run_cli(capsys, "verify", "--count", str(MAX_COUNT + 1))
+    assert (code, out) == (2, "")
+    assert err == f"mutvis: --count must be at most {MAX_COUNT}, got {MAX_COUNT + 1}\n"
+
+
 def test_compute_disconnected_exit_1(tmp_path, capsys):
     f = tmp_path / "disc.txt"
     f.write_text("4\n0 1\n2 3\n")
@@ -225,6 +239,38 @@ def test_verify_csv_shape(capsys):
     lines = out.splitlines()
     assert lines[0] == "theorem_id,instance,expected,observed,status"
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+VERIFY_ALL_ARGV = ("verify", "--theorem", "all", "--stable", "--format", "json", "--seed", "1000")
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_all_output() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(VERIFY_ALL_ARGV)) == 0
+    return out.getvalue()
+
+
+def test_verify_all_bytes_match_the_benchmark_pin():
+    # The benchmark's verify-all workload pins the digest of these bytes.
+    pin = json.loads(PINS.read_text())[" ".join(VERIFY_ALL_ARGV)]
+    digest = hashlib.sha256(_verify_all_output().encode()).hexdigest()
+    assert pin["witness"] == "sha256:" + digest
+
+
+def test_verify_random_instance_names_rebuild():
+    names = {
+        match.group(0): (int(match.group(1)), int(match.group(2)))
+        for record in json.loads(_verify_all_output())["records"]
+        for match in re.finditer(r"random:(\d+),(\d+)", record["instance"])
+    }
+    assert len(names) >= 32
+    for name, (n, seed) in names.items():
+        g = build(name)
+        want = random_connected_graph(n, seed)
+        assert (g.name, g.edges()) == (want.name, want.edges()), name
 
 
 def test_verify_unknown_id(capsys):

@@ -110,6 +110,7 @@ def test_colour_class_tops_count_first_fit_cliques(data):
 
 _PARAMETRIC = (
     "path", "cycle", "complete", "star", "biclique", "theta", "gencomplete", "gm", "randomtree",
+    "random",
 )
 _TOKENS = (
     *_PARAMETRIC, "petersen", "fig1", "cp(", ",", ")", ":", "-", "_", *"0123456789",

@@ -157,6 +157,9 @@ def test_lower_bound_witness_validates_inputs():
         lower_bound_witness(q, {1, 2, 3}, {0, 2})  # opposite pair blocks the square
     with pytest.raises(GraphError):
         lower_bound_witness(k_fold_product([path(2)] * 3), {0}, {0})
+    with pytest.raises(WitnessError) as info:
+        lower_bound_witness(cartesian_product(path(3), complete(2)), {1}, {0})
+    assert str(info.value) == "first-factor set [1] is not total mutual-visible"
 
 
 def test_over_visible_witness_on_the_smallest_case():
@@ -190,6 +193,12 @@ def test_over_visible_witness_validates_inputs():
     with pytest.raises(WitnessError):
         # vertex 5 sits inside the long path; it is not a bypass vertex
         over_visible_witness(p, {2}, [5], {2}, [3])
+    with pytest.raises(WitnessError) as info:
+        over_visible_witness(build("cp(gm:1,gm:1)"), {1}, [5], {0, 3, 4}, [5])
+    assert str(info.value) == "first-factor base set is not total mutual-visible"
+    with pytest.raises(WitnessError) as info:
+        over_visible_witness(build("cp(theta:2,2,2,theta:2,2,2)"), {2}, [0], {2}, [0])
+    assert str(info.value) == "first-factor base plus extras is not independent"
 
 
 def test_product_bypass_is_the_factor_product():
