@@ -25,7 +25,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    all_pairs_distances,
     girth,
     independence_number,
     is_connected,
@@ -84,7 +83,6 @@ __all__ = [
     "SuiteOptions",
     "VerificationRecord",
     "WitnessError",
-    "all_pairs_distances",
     "alpha_report",
     "biclique",
     "build",

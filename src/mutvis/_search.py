@@ -67,9 +67,12 @@ When every infeasible set holds a seed, ``feasible`` may be constant True.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable
 
 BLOCKER_LIMIT = 4096
+# Stack room for the search's callers, on top of one frame per chosen vertex.
+_CALLER_FRAMES = 1000
 
 
 def _blocker_rank(mask: int) -> tuple[int, int]:
@@ -203,5 +206,12 @@ def lex_first_maximum(
             if size + 1 + min((tops & rem).bit_count(), rest.bit_count()) > best_size:
                 grow(vmask, size + 1, rest, hits, since)
 
-    grow(0, 0, everyone, [], 0)
+    # grow recurses once per chosen vertex, so a large answer needs more
+    # frames than Python's default limit allows.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, everyone.bit_count() + _CALLER_FRAMES))
+    try:
+        grow(0, 0, everyone, [], 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return best_size, tuple(v for v in range(best.bit_length()) if best >> v & 1)

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from .errors import CapExceeded, GraphError, SpecError
@@ -26,7 +27,7 @@ from .graph import (
 from .products import ProductGraph
 from .solvers import DEFAULT_BP_CAP, DEFAULT_N_CAP, INVARIANTS
 from .specs import build, graph_of, parse_graph_file, write_graph_file
-from .verify import SuiteOptions, run_all, run_suite, suite_ids
+from .verify import SuiteOptions, VerificationRecord, run_all, run_suite, suite_ids
 from .visibility import bypass_set
 
 # Each randomized instance costs time and memory, so --count is bounded
@@ -179,8 +180,9 @@ def _cmd_verify(args) -> int:
         }
         print(_dump_json(payload, args.stable))
     elif args.format == "csv":
-        rows = [[r.theorem_id, r.instance, r.expected, r.observed, r.status] for r in records]
-        print(_csv_text(["theorem_id", "instance", "expected", "observed", "status"], rows), end="")
+        header = [f.name for f in fields(VerificationRecord)]
+        rows = [list(r.to_dict().values()) for r in records]
+        print(_csv_text(header, rows), end="")
     else:
         for r in records:
             print(f"[{r.status}] {r.theorem_id} | {r.instance} | {r.observed}")
@@ -189,10 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    obj = _load(args.graph)
-    g = graph_of(obj)
-    label = g.name if args.graph.startswith("@") else args.graph
-    write_graph_file(g, args.out, label=label)
+    write_graph_file(graph_of(_load(args.graph)), args.out)
     return 0
 
 
@@ -214,10 +213,8 @@ def _cmd_info(args) -> int:
     if args.format == "json":
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
-        for key in ("name", "order", "edges", "connected", "min_degree", "girth", "leaves", "bp"):
-            if key in info:
-                value = info[key]
-                print(f"{key}: {'none' if value is None else value}")
+        for key, value in info.items():
+            print(f"{key}: {'none' if value is None else value}")
     return 0
 
 

@@ -66,13 +66,7 @@ class InvariantReport:
     graph_name: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "witness": list(self.witness),
-            "method": self.method,
-            "graph_name": self.graph_name,
-        }
+        return {**vars(self), "witness": list(self.witness)}
 
 
 def _require_connected(g: Graph) -> None:
@@ -195,7 +189,7 @@ def naive_oracle(g: Graph, kind: str) -> InvariantReport:
     (the empty set if none does).  That is the pruned solvers' tie-break,
     the lexicographically smallest maximum.  Meant for cross-validation only.
     """
-    if kind not in ("mu", "mut", "muit"):
+    if kind not in _KIND_NAMES:
         raise GraphError(f"unknown invariant kind {kind!r}")
     _require_connected(g)
     if g.order > DEFAULT_ORACLE_CAP:

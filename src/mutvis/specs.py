@@ -9,8 +9,8 @@ The file format is line-based: ``#`` starts a comment, the first
 significant line is the vertex count, every following line is one edge
 ``u v``; a file whose count is above MAX_ORDER or that has more than
 MAX_EDGES edge lines is refused at that line, before the graph is built.
-Exported files carry a ``# graph: <expression>`` header so they can be
-traced back to the expression that produced them.
+Exported files carry a ``# graph: <name>`` header, the graph's canonical
+expression or its file's name, so they can be traced back to their source.
 """
 
 from __future__ import annotations
@@ -77,14 +77,15 @@ def build(text: str):
     ``MAX_ORDER`` vertices or ``MAX_EDGES`` edges raises SpecError before
     any graph is built.
     """
-    parsed = _parse(text, 1)
-    if isinstance(parsed, _Family):
-        return parsed.make()
-    _check_size(*_size(parsed), text.strip())
-    return k_fold_product([f.make() for f in parsed])
+    factors = _parse(text, 1)
+    if len(factors) == 1:
+        return factors[0].make()
+    _check_size(*_size(factors), text.strip())
+    return k_fold_product([f.make() for f in factors])
 
 
-def _parse(text: str, depth: int) -> _Family | list[_Family]:
+def _parse(text: str, depth: int) -> list[_Family]:
+    """The factors of an expression; a family is a list of one."""
     text = text.strip()
     if not text:
         raise SpecError("empty graph expression")
@@ -94,11 +95,7 @@ def _parse(text: str, depth: int) -> _Family | list[_Family]:
         parts = _split_args(text[3:-1], text)
         if len(parts) not in (2, 3):
             raise SpecError(f"cp() takes 2 or 3 factors, got {len(parts)}: {text!r}")
-        factors: list[_Family] = []
-        for part in parts:
-            parsed = _parse(part, depth + 1)
-            factors.extend(parsed if isinstance(parsed, list) else [parsed])
-        return factors
+        return [f for part in parts for f in _parse(part, depth + 1)]
     head, sep, tail = text.partition(":")
     head = head.strip()
     entry = _FAMILIES.get(head)
@@ -120,19 +117,17 @@ def _parse(text: str, depth: int) -> _Family | list[_Family]:
             args = tuple(params)
     order, edges = size(*args)
     _check_size(order, edges, text)
-    return _Family(partial(make, *args), order, edges)
+    return [_Family(partial(make, *args), order, edges)]
 
 
-def _size(parsed: _Family | list[_Family]) -> tuple[int, int]:
-    """Order and edge count of a parsed expression, without building it."""
-    if isinstance(parsed, _Family):
-        return parsed.order, parsed.edges
+def _size(factors: list[_Family]) -> tuple[int, int]:
+    """Order and edge count of the product of ``factors``, without building it."""
     # |E(G1 x ... x Gk)| is the sum over i of |E(Gi)| times the other orders.
     edges = sum(
-        f.edges * prod(g.order for j, g in enumerate(parsed) if j != i)
-        for i, f in enumerate(parsed)
+        f.edges * prod(g.order for j, g in enumerate(factors) if j != i)
+        for i, f in enumerate(factors)
     )
-    return prod(f.order for f in parsed), edges
+    return prod(f.order for f in factors), edges
 
 
 def _check_size(order: int, edges: int, text: str) -> None:
@@ -252,11 +247,14 @@ def parse_graph_file(path: str | os.PathLike) -> Graph:
     return Graph(order, edges, name=name)
 
 
-def write_graph_file(g: Graph, path: str | os.PathLike, label: str = "") -> None:
-    """Write ``g`` in the edge-list format, labeled so it round-trips."""
+def write_graph_file(g: Graph, path: str | os.PathLike) -> None:
+    """Write ``g`` in the edge-list format, headed by its name so it
+    round-trips; whitespace runs in the name become one space, since the
+    header is one line."""
     lines = []
-    if label or g.name:
-        lines.append(f"# graph: {label or g.name}")
+    name = " ".join(g.name.split())
+    if name:
+        lines.append(f"# graph: {name}")
     lines.append(str(g.order))
     lines += [f"{u} {v}" for u, v in g.edges()]
     with open(path, "w", encoding="utf-8") as fh:

@@ -71,13 +71,7 @@ class VerificationRecord:
         return self.status != "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "expected": self.expected,
-            "observed": self.observed,
-            "status": self.status,
-        }
+        return dict(vars(self))
 
 
 Check = Callable[[], tuple[str, bool]]

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,10 +247,10 @@ PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 
 @functools.lru_cache(maxsize=None)
-def _verify_all_output() -> str:
+def _verify_all_output(argv: tuple[str, ...] = VERIFY_ALL_ARGV) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(list(VERIFY_ALL_ARGV)) == 0
+        assert main(list(argv)) == 0
     return out.getvalue()
 
 
@@ -258,6 +259,23 @@ def test_verify_all_bytes_match_the_benchmark_pin():
     pin = json.loads(PINS.read_text())[" ".join(VERIFY_ALL_ARGV)]
     digest = hashlib.sha256(_verify_all_output().encode()).hexdigest()
     assert pin["witness"] == "sha256:" + digest
+
+
+# sha256 of `verify --theorem all --stable` at other seeds and formats.  A
+# fixed digest also catches output that differs from run to run.
+VERIFY_ALL_DIGESTS = {
+    ("json", "0"): "9494e1b05fa26eb0e06da0be6ffd7de65b99790bfd3741c8b0c99a9bff94f68b",
+    ("json", "2000"): "638bbddc9dd8b0f8335fef223984a1fe66e556ecc7155869294214c1aa650d20",
+    ("csv", "0"): "0167dc1a65ee8d2ecc629afb83609948faed167736506c06a7fcd1f55f60196f",
+    ("text", "0"): "5c2581cfe3845f83d40e1660950ab3d0ec3aad781b5d9e2aacc0dfecfae344c8",
+}
+
+
+@pytest.mark.parametrize(("fmt", "seed"), list(VERIFY_ALL_DIGESTS))
+def test_verify_all_bytes_match_their_digest(fmt, seed):
+    argv = ("verify", "--theorem", "all", "--stable", "--format", fmt, "--seed", seed)
+    digest = hashlib.sha256(_verify_all_output(argv).encode()).hexdigest()
+    assert digest == VERIFY_ALL_DIGESTS[fmt, seed]
 
 
 def test_verify_random_instance_names_rebuild():
@@ -326,11 +344,43 @@ def test_export_round_trip(tmp_path, capsys):
     assert out_file.read_text().startswith("# graph: gm:5\n18\n")
 
 
+def test_export_header_is_the_canonical_name_on_one_line(tmp_path, capsys):
+    cases = {
+        "cp(path:3,\npath:2)": "cp(path:3,path:2)",
+        "cp(cp(path:3,cycle:4),complete:2)": "cp(path:3,cycle:4,complete:2)",
+    }
+    anon = tmp_path / "two\nlines.txt"
+    anon.write_text("2\n0 1\n")
+    cases[f"@{anon}"] = "two lines.txt"
+    for i, (spec, name) in enumerate(cases.items()):
+        out_file = tmp_path / f"g{i}.txt"
+        assert run_cli(capsys, "export", "--graph", spec, "--out", str(out_file))[0] == 0
+        assert out_file.read_text().startswith(f"# graph: {name}\n")
+        code, out, _ = run_cli(capsys, "info", "--graph", f"@{out_file}")
+        assert code == 0
+        assert out.startswith(f"name: {name}\n")
+
+
 def test_export_bad_path_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "export", "--graph", "path:3", "--out", str(tmp_path / "no" / "dir.txt")
     )
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    ("graph", "invariant", "value"),
+    [("star:1200", "mut", 1200), ("star:1200", "muit", 1200), ("path:2100", "alpha", 1050)],
+)
+def test_deep_searches_answer_without_a_traceback(capsys, graph, invariant, value):
+    # Each answer holds more vertices than Python's default recursion limit.
+    limit = sys.getrecursionlimit()
+    code, out, err = run_cli(
+        capsys, "compute", "--graph", graph, "--invariant", invariant,
+        "--cap-bp", "5000", "--cap-n", "5000", "--format", "text",
+    )
+    assert (code, out, err) == (0, f"{invariant}({graph}) = {value}\n", "")
+    assert sys.getrecursionlimit() == limit
 
 
 def test_info_text(capsys):

@@ -10,7 +10,6 @@ from mutvis import (
     Graph,
     GraphError,
     WitnessError,
-    all_pairs_distances,
     girth,
     independence_number,
     is_connected,
@@ -20,6 +19,7 @@ from mutvis import (
     min_degree,
 )
 from mutvis.generators import biclique, complete, cycle, fig1, path, petersen, random_tree, star
+from mutvis.graph import all_pairs_distances
 from mutvis.visibility import automorphism_orbits
 from mutvis.specs import build, graph_of
 from mutvis.verify import random_connected_graph

@@ -172,7 +172,7 @@ def test_round_trip_each_family(tmp_path):
     for i, spec in enumerate(specs):
         g = graph_of(build(spec))
         f = tmp_path / f"g{i}.txt"
-        write_graph_file(g, f, label=spec)
+        write_graph_file(g, f)
         back = parse_graph_file(f)
         assert back == g
         assert back.name == spec
