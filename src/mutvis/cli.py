@@ -96,11 +96,14 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _dump_json(payload: dict, stable: bool) -> str:
+def _print_json(payload: dict, stable: bool) -> None:
+    # Streamed, so the indented text is never held as one list of chunks;
+    # that list would set a verify run's peak memory.
     if not stable:
         payload = dict(payload)
         payload["timestamp"] = _timestamp()
-    return json.dumps(payload, indent=2, sort_keys=True)
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    print()
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -125,7 +128,7 @@ def _cmd_compute(args) -> int:
         print(f"mutvis: {exc}", file=sys.stderr)
         return 1
 
-    report["graph"] = args.graph
+    report["graph"] = g.name
     report["order"] = g.order
     if not args.witness:
         report.pop("witness", None)
@@ -133,18 +136,18 @@ def _cmd_compute(args) -> int:
         report["witness_coords"] = [list(obj.decode(v)) for v in report["witness"]]
 
     if args.format == "json":
-        print(_dump_json(report, args.stable))
+        _print_json(report, args.stable)
     elif args.format == "csv":
         witness = " ".join(map(str, report.get("witness", ())))
         value = report["value"]
         print(_csv_text(
             ["graph", "invariant", "value", "method", "witness"],
-            [[args.graph, kind, "" if value is None else value, report["method"], witness]],
+            [[g.name, kind, "" if value is None else value, report["method"], witness]],
         ), end="")
     else:
         value = report["value"]
         shown = "none" if value is None else value
-        print(f"{kind}({args.graph}) = {shown}")
+        print(f"{kind}({g.name}) = {shown}")
         if "witness" in report:
             print("witness:", " ".join(map(str, report["witness"])))
         if "witness_coords" in report:
@@ -178,7 +181,7 @@ def _cmd_verify(args) -> int:
             "records": [r.to_dict() for r in records],
             "summary": counts,
         }
-        print(_dump_json(payload, args.stable))
+        _print_json(payload, args.stable)
     elif args.format == "csv":
         header = [f.name for f in fields(VerificationRecord)]
         rows = [list(r.to_dict().values()) for r in records]

@@ -8,7 +8,9 @@ CapExceeded, so a cap shortfall never hides a failure or aborts the run.
 It calls each check before it resumes the suite, so a check may read the
 suite's loop variables directly.  A suite does capped work only inside its
 checks, and computes every invariant through ``solvers.INVARIANTS``, so that
-table alone picks each invariant's solver and cap.  Where a claim has a
+table alone picks each invariant's solver and cap.  Each run asks the table
+and the exhaustive reference each question once: answers are kept, for that
+run only, by kind and graph structure (see ``_solve``).  Where a claim has a
 constructive side (an explicit witness set), the suite builds the witness
 and runs the definitional checker on it rather than trusting the equality
 alone.
@@ -17,7 +19,8 @@ alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator
@@ -35,6 +38,7 @@ from .products import cartesian_product, k_fold_product, lower_bound_witness, ov
 from .solvers import (
     DEFAULT_BP_CAP,
     INVARIANTS,
+    InvariantReport,
     mut_is_zero,
     naive_oracle,
 )
@@ -97,27 +101,83 @@ def describe_suites() -> dict[str, str]:
     return {tid: desc for tid, (desc, _) in _SUITES.items()}
 
 
+# Answers of the run in progress, keyed by (question, adjacency masks); None
+# between runs.  The key holds no Graph, so no graph or oracle outlives its
+# suite's use of it.
+_memo: dict[tuple[str, tuple[int, ...]], InvariantReport] | None = None
+
+
+@contextmanager
+def _run_memo():
+    """Open the memo for one run, unless a run already has one open, and
+    drop it when that run ends."""
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _recall(question: str, g: Graph, answer: Callable[[], InvariantReport]) -> InvariantReport:
+    # Called only from checks, which run_suite runs with the memo open.  A
+    # CapExceeded from answer() propagates and stores nothing.
+    key = (question, g.adjacency_masks())
+    report = _memo.get(key)
+    if report is None:
+        report = _memo[key] = answer()
+    elif report.graph_name != g.name:
+        report = replace(report, graph_name=g.name)
+    return report
+
+
+def _solve(kind: str, g: Graph, opts: SuiteOptions) -> InvariantReport:
+    """``INVARIANTS[kind](g, opts)``, asked once per run and graph structure.
+    Every suite shares its run's options, and each answer is a function of
+    the adjacency masks and the caps, so a recalled report differs from a
+    fresh one at most in its graph name, which is set to g's."""
+    return _recall(kind, g, lambda: INVARIANTS[kind](g, opts))
+
+
+def _reference(kind: str, g: Graph) -> InvariantReport:
+    """``naive_oracle(g, kind)``, asked once per run and graph structure."""
+    return _recall("naive " + kind, g, lambda: naive_oracle(g, kind))
+
+
 def run_suite(theorem_id: str, opts: SuiteOptions | None = None) -> list[VerificationRecord]:
     """Run one suite: call each check it yields, before resuming it, and
-    turn the outcome into a record."""
+    turn the outcome into a record.
+
+    The suite's solver and reference answers are kept for the run, keyed by
+    kind and adjacency masks, so a repeated question is answered once.  A
+    call from ``run_all`` shares that run's memo; a call alone opens its
+    own, dropped when it returns."""
     if theorem_id not in _SUITES:
         known = ", ".join(_SUITES)
         raise KeyError(f"unknown suite {theorem_id!r}; known suites: {known}")
     _, suite = _SUITES[theorem_id]
     records = []
-    for instance, expected, check in suite(opts or SuiteOptions()):
-        try:
-            observed, ok = check()
-            status = "pass" if ok else "fail"
-        except CapExceeded as exc:
-            observed, status = f"cap exceeded: {exc}", "skipped-cap"
-        records.append(VerificationRecord(theorem_id, instance, expected, observed, status))
+    with _run_memo():
+        for instance, expected, check in suite(opts or SuiteOptions()):
+            try:
+                observed, ok = check()
+                status = "pass" if ok else "fail"
+            except CapExceeded as exc:
+                observed, status = f"cap exceeded: {exc}", "skipped-cap"
+            records.append(VerificationRecord(theorem_id, instance, expected, observed, status))
     return records
 
 
 def run_all(opts: SuiteOptions | None = None) -> list[VerificationRecord]:
+    """Run every suite in registry order under one memo of answers, so a
+    question two suites share is answered once; the records equal those of
+    running each suite alone.  The memo is dropped when the run ends."""
     opts = opts or SuiteOptions()
-    return [record for tid in _SUITES for record in run_suite(tid, opts)]
+    with _run_memo():
+        return [record for tid in _SUITES for record in run_suite(tid, opts)]
 
 
 # -- corpora -----------------------------------------------------------------
@@ -185,13 +245,13 @@ def _suite_for_trees(opts: SuiteOptions) -> Checks:
         def check():
             if not is_mv_set(t, leaves):
                 return ("leaf set fails the mutual-visibility check", False)
-            value = INVARIANTS["mu"](t, opts).value
+            value = _solve("mu", t, opts).value
             ok = value == len(leaves)
             if t.order >= 3:
                 # On trees the total and independent-total invariants match
                 # the leaf count as well; on two vertices they split.
-                mut = INVARIANTS["mut"](t, opts).value
-                muit = INVARIANTS["muit"](t, opts).value
+                mut = _solve("mut", t, opts).value
+                muit = _solve("muit", t, opts).value
                 ok = ok and mut == len(leaves) and muit == len(leaves)
                 return (f"mu={value}, mut={mut}, independent mut={muit}, leaves={len(leaves)}", ok)
             return (f"mu={value}, leaves={len(leaves)}", ok)
@@ -205,12 +265,12 @@ def _suite_subsets(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            w_total = INVARIANTS["mut"](g, opts).witness
+            w_total = _solve("mut", g, opts).witness
             for _ in range(opts.count):
                 sub = frozenset(v for v in w_total if rng.random() < 0.5)
                 if not is_total_mv_set(g, sub):
                     return (f"total subset {sorted(sub)} fails", False)
-            w_mv = INVARIANTS["mu"](g, opts).witness
+            w_mv = _solve("mu", g, opts).witness
             for _ in range(opts.count):
                 sub = frozenset(v for v in w_mv if rng.random() < 0.5)
                 if not is_mv_set(g, sub):
@@ -225,7 +285,7 @@ def _suite_singletons(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            zero = INVARIANTS["mut"](g, opts).value == 0
+            zero = _solve("mut", g, opts).value == 0
             no_single = all(not is_total_mv_set(g, {x}) for x in range(g.order))
             return (f"mut==0 is {zero}, all singletons fail is {no_single}", zero == no_single)
 
@@ -254,7 +314,7 @@ def _suite_non_bypass(opts: SuiteOptions) -> Checks:
             non_bp = sorted(set(range(g.order)) - bypass_set(g))
             if any(is_total_mv_set(g, {u}) for u in non_bp):
                 return ("some non-bypass singleton passes", False)
-            w = naive_oracle(g, "mut").witness
+            w = _reference("mut", g).witness
             hit = sorted(set(w) & set(non_bp))
             if hit:
                 return (f"unrestricted-search witness contains {hit}", False)
@@ -268,7 +328,7 @@ def _suite_bp_bound(opts: SuiteOptions) -> Checks:
     for g in named_corpus(opts.max_n):
 
         def check():
-            value = INVARIANTS["mut"](g, opts).value
+            value = _solve("mut", g, opts).value
             bp = len(bypass_set(g))
             return (f"mut={value}, bp={bp}", value <= bp)
 
@@ -281,7 +341,7 @@ def _suite_zero_char(opts: SuiteOptions) -> Checks:
     for g in corpus:
 
         def check():
-            zero = INVARIANTS["mut"](g, opts).value == 0
+            zero = _solve("mut", g, opts).value == 0
             bp = len(bypass_set(g))
             return (f"mut==0 is {zero}, bp={bp}", zero == (bp == 0))
 
@@ -353,9 +413,9 @@ def _suite_cp_zero(opts: SuiteOptions) -> Checks:
 
         def check():
             p = cartesian_product(a, b)
-            pv = INVARIANTS["mut"](p.graph, opts).value
-            av = INVARIANTS["mut"](a, opts).value
-            bv = INVARIANTS["mut"](b, opts).value
+            pv = _solve("mut", p.graph, opts).value
+            av = _solve("mut", a, opts).value
+            bv = _solve("mut", b, opts).value
             ok = (pv == 0) == (av == 0 or bv == 0)
             return (f"mut(product)={pv}, factors {av} and {bv}", ok)
 
@@ -369,8 +429,8 @@ def _suite_cp_zero_k(opts: SuiteOptions) -> Checks:
 
         def check():
             p = k_fold_product(list(triple))
-            pv = INVARIANTS["mut"](p.graph, opts).value
-            vals = [INVARIANTS["mut"](f, opts).value for f in triple]
+            pv = _solve("mut", p.graph, opts).value
+            vals = [_solve("mut", f, opts).value for f in triple]
             ok = (pv == 0) == any(v == 0 for v in vals)
             return (f"mut(product)={pv}, factors {vals}", ok)
 
@@ -392,12 +452,12 @@ def _suite_cp_bounds(opts: SuiteOptions) -> Checks:
     for a, b in combinations_with_replacement(usable, 2):
 
         def check():
-            mg = INVARIANTS["mut"](a, opts).value
-            mh = INVARIANTS["mut"](b, opts).value
-            ig = INVARIANTS["muit"](a, opts).value
-            ih = INVARIANTS["muit"](b, opts).value
+            mg = _solve("mut", a, opts).value
+            mh = _solve("mut", b, opts).value
+            ig = _solve("muit", a, opts).value
+            ih = _solve("muit", b, opts).value
             p = cartesian_product(a, b)
-            pv = INVARIANTS["mut"](p.graph, opts).value
+            pv = _solve("mut", p.graph, opts).value
             lo = max(ih * mg, ig * mh)
             hi = min(mg * b.order, mh * a.order)
             return (f"{lo} <= {pv} <= {hi}", lo <= pv <= hi)
@@ -420,10 +480,10 @@ def _suite_both_one(opts: SuiteOptions) -> Checks:
         b = graph_of(build(sb))
 
         def check():
-            ra = INVARIANTS["mut"](a, opts)
-            rb = INVARIANTS["mut"](b, opts)
+            ra = _solve("mut", a, opts)
+            rb = _solve("mut", b, opts)
             p = cartesian_product(a, b)
-            pv = INVARIANTS["mut"](p.graph, opts).value
+            pv = _solve("mut", p.graph, opts).value
             ok = pv != 1 or (ra.value == 1 and rb.value == 1)
             # The two-point construction behind the claim: two witness
             # vertices of one factor in a single layer stay visible.
@@ -443,7 +503,7 @@ def _suite_complete_product(opts: SuiteOptions) -> Checks:
 
             def check():
                 p = cartesian_product(graph_of(build(f"complete:{n}")), graph_of(build(f"complete:{m}")))
-                pv = INVARIANTS["mut"](p.graph, opts).value
+                pv = _solve("mut", p.graph, opts).value
                 return (f"mut={pv}", pv == max(n, m))
 
             yield f"complete:{n} x complete:{m}", f"mut == max({n},{m})", check
@@ -459,7 +519,7 @@ def _suite_cycle_complete(opts: SuiteOptions) -> Checks:
                 if s >= 5:
                     zero = mut_is_zero(p.graph)
                     return (f"bp={len(bypass_set(p.graph))}", zero)
-                pv = INVARIANTS["mut"](p.graph, opts).value
+                pv = _solve("mut", p.graph, opts).value
                 return (f"mut={pv}", pv == n)
 
             expected = "mut == 0 (no bypass vertex)" if s >= 5 else f"mut == {n}"
@@ -475,9 +535,9 @@ def _suite_tree_product(opts: SuiteOptions) -> Checks:
 
             def check():
                 p = cartesian_product(t, h)
-                pv = INVARIANTS["mut"](p.graph, opts).value
-                tv = INVARIANTS["mut"](t, opts).value
-                hv = INVARIANTS["mut"](h, opts).value
+                pv = _solve("mut", p.graph, opts).value
+                tv = _solve("mut", t, opts).value
+                hv = _solve("mut", h, opts).value
                 return (f"mut(product)={pv}, factors {tv} and {hv}", pv == tv * hv)
 
             yield _pair_name(t, h), "product invariant is the factor product", check
@@ -494,8 +554,8 @@ def _suite_tree_complete(opts: SuiteOptions) -> Checks:
                 kn = graph_of(build(f"complete:{n}"))
                 p = cartesian_product(t, kn)
                 image = lower_bound_witness(p, leaves, range(n))
-                pv = INVARIANTS["mut"](p.graph, opts).value
-                ok = len(image) == n * len(leaves) and pv == n * INVARIANTS["mut"](t, opts).value
+                pv = _solve("mut", p.graph, opts).value
+                ok = len(image) == n * len(leaves) and pv == n * _solve("mut", t, opts).value
                 return (f"mut(product)={pv}, witness image {len(image)}", ok)
 
             yield f"{t.name} x complete:{n}", "product invariant is n times the tree invariant", check
@@ -516,7 +576,7 @@ def _suite_gencomplete_product(opts: SuiteOptions) -> Checks:
             want_tight = stars[a.name] or stars[b.name]
             ok = len(bp_set) <= bound and tight == want_tight
             if a.order <= 5 and b.order <= 5:
-                pv = INVARIANTS["mut"](p.graph, opts).value
+                pv = _solve("mut", p.graph, opts).value
                 ok = ok and pv <= bound and (pv == bound) == want_tight
                 return (f"mut={pv}, bound={bound}, tight={tight}", ok)
             return (f"bp(product)={len(bp_set)}, bound={bound}, tight={tight}", ok)
@@ -549,8 +609,8 @@ def _suite_over_visible(opts: SuiteOptions) -> Checks:
         k = min(len(e_a), len(e_b))
 
         def check():
-            ma = INVARIANTS["mut"](a, opts).value
-            mb = INVARIANTS["mut"](b, opts).value
+            ma = _solve("mut", a, opts).value
+            mb = _solve("mut", b, opts).value
             if len(s_a) != ma or len(s_b) != mb:
                 return ("configured base sets are not largest", False)
             p = cartesian_product(a, b)
@@ -561,7 +621,7 @@ def _suite_over_visible(opts: SuiteOptions) -> Checks:
             ok = len(witness) == ma * mb + k and len(witness) > ma * mb
             observed = f"verified witness of size {len(witness)} > {ma * mb}"
             try:
-                pv = INVARIANTS["mut"](p.graph, opts).value
+                pv = _solve("mut", p.graph, opts).value
             except CapExceeded:
                 return (observed, ok)
             return (f"{observed}, exact mut={pv}", ok and pv > ma * mb)
@@ -594,8 +654,8 @@ def _suite_theta_i(opts: SuiteOptions) -> Checks:
             for v in middles:
                 if not is_total_mv_set(g, middles - {v}):
                     return (f"bypass set minus {v} fails", False)
-            value = INVARIANTS["mut"](g, opts).value
-            ivalue = INVARIANTS["muit"](g, opts).value
+            value = _solve("mut", g, opts).value
+            ivalue = _solve("muit", g, opts).value
             return (f"bp={len(bp_set)}, mut={value}, independent mut={ivalue}",
                     value == i - 1 and ivalue == i - 1)
 
@@ -621,8 +681,8 @@ def _suite_gm(opts: SuiteOptions) -> Checks:
             witness = frozenset({0, m + 2}) | frozenset(range(m + 3, 2 * m + 3))
             if not (is_total_mv_set(g, witness) and is_independent_set(g, witness)):
                 return ("documented witness fails", False)
-            value = INVARIANTS["mut"](g, opts).value
-            ivalue = INVARIANTS["muit"](g, opts).value
+            value = _solve("mut", g, opts).value
+            ivalue = _solve("muit", g, opts).value
             ok = value == m + 2 and ivalue == m + 2 and len(bp_set) - value == m
             return (f"bp={len(bp_set)}, mut={value}, independent mut={ivalue}", ok)
 
@@ -633,7 +693,7 @@ def _suite_gm(opts: SuiteOptions) -> Checks:
 def _suite_sporadic(opts: SuiteOptions) -> Checks:
     def fig1_check():
         g = graph_of(build("fig1"))
-        value = INVARIANTS["mut"](g, opts).value
+        value = _solve("mut", g, opts).value
         bp_set = bypass_set(g)
         return (f"mut={value}, bypass={sorted(bp_set)}", value == 1 and bp_set == {5, 6})
 
@@ -641,14 +701,14 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
     def fig2_check():
         g = graph_of(build("fig2"))
-        value = INVARIANTS["mut"](g, opts).value
+        value = _solve("mut", g, opts).value
         return (f"mut={value}, bp={len(bypass_set(g))}", value == 0 and not bypass_set(g))
 
     yield "fig2", "mut == 0 and bp == 0", fig2_check
 
     def petersen_check():
         g = graph_of(build("petersen"))
-        value = INVARIANTS["mut"](g, opts).value
+        value = _solve("mut", g, opts).value
         return (f"mut={value}, girth={girth(g)}, min degree {min_degree(g)}",
                 value == 0 and girth(g) == 5 and min_degree(g) == 3)
 
@@ -659,7 +719,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
             def biclique_check():
                 g = graph_of(build(f"biclique:{n},{m}"))
-                value = INVARIANTS["mut"](g, opts).value
+                value = _solve("mut", g, opts).value
                 return (f"mut={value}, bp={len(bypass_set(g))}",
                         value == n + m - 2 and len(bypass_set(g)) == n + m)
 
@@ -669,7 +729,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
         # Below the 3,3 threshold the bypass bound is still n+m but the
         # invariant drops differently; pin the computed truth.
         g = graph_of(build("theta:2,2,2"))
-        value = INVARIANTS["mut"](g, opts).value
+        value = _solve("mut", g, opts).value
         return (f"mut={value}, bp={len(bypass_set(g))}",
                 value == 3 and len(bypass_set(g)) == 5)
 
@@ -679,9 +739,9 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
         def complete_check():
             g = graph_of(build(f"complete:{n}"))
-            mu = INVARIANTS["mu"](g, opts).value
-            mut = INVARIANTS["mut"](g, opts).value
-            muit = INVARIANTS["muit"](g, opts).value
+            mu = _solve("mu", g, opts).value
+            mut = _solve("mut", g, opts).value
+            muit = _solve("muit", g, opts).value
             return (f"mu={mu}, mut={mut}, independent mut={muit}",
                     mu == n and mut == n and muit == 1)
 
@@ -689,7 +749,7 @@ def _suite_sporadic(opts: SuiteOptions) -> Checks:
 
     def gencomplete_check():
         g = graph_of(build("gencomplete:2,2"))
-        value = INVARIANTS["mut"](g, opts).value
+        value = _solve("mut", g, opts).value
         return (f"mut={value}", value == g.order - 1)
 
     yield "gencomplete:2,2", "mut == order - 1 for a non-trivial instance", gencomplete_check
@@ -702,9 +762,9 @@ def _suite_sandwich(opts: SuiteOptions) -> Checks:
 
         def check():
             leaves = len(leaf_set(g))
-            muit = INVARIANTS["muit"](g, opts).value
-            mut = INVARIANTS["mut"](g, opts).value
-            alpha = INVARIANTS["alpha"](g, opts).value
+            muit = _solve("muit", g, opts).value
+            mut = _solve("mut", g, opts).value
+            alpha = _solve("alpha", g, opts).value
             ok = leaves <= muit <= min(mut, alpha)
             return (f"{leaves} <= {muit} <= min({mut}, {alpha})", ok)
 
@@ -719,8 +779,8 @@ def _suite_oracle(opts: SuiteOptions) -> Checks:
 
         def check():
             for kind in ("mut", "muit", "mu"):
-                fast = INVARIANTS[kind](g, opts)
-                slow = naive_oracle(g, kind)
+                fast = _solve(kind, g, opts)
+                slow = _reference(kind, g)
                 if fast.value != slow.value or fast.witness != slow.witness:
                     return (
                         f"{kind}: search {fast.value} {fast.witness} vs reference {slow.value} {slow.witness}",

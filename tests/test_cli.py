@@ -85,6 +85,18 @@ def test_compute_csv(capsys):
     assert rows[1][2:5] == ["0", "pruned-search", ""]
 
 
+def test_compute_names_the_graph_by_its_canonical_name(capsys):
+    for spec in ("cp(path:3,\npath:2)", " cp( path:3 ,  path:2 ) "):
+        base = ("compute", "--graph", spec, "--invariant", "bp", "--stable")
+        assert run_cli(capsys, *base, "--format", "text") == (0, "bp(cp(path:3,path:2)) = 4\n", "")
+        code, out, _ = run_cli(capsys, *base, "--format", "csv")
+        assert (code, list(csv.reader(io.StringIO(out)))[1]) == (
+            0, ["cp(path:3,path:2)", "bp", "4", "formula", ""]
+        )
+        code, out, _ = run_cli(capsys, *base)
+        assert (code, json.loads(out)["graph"]) == (0, "cp(path:3,path:2)")
+
+
 def test_compute_girth_handles_acyclic(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "--graph", "path:6", "--invariant", "girth",

@@ -28,7 +28,7 @@ from mutvis import (
     naive_oracle,
     sandwich_check,
 )
-from mutvis.generators import biclique, complete, cycle, path, random_tree, star, theta
+from mutvis.generators import biclique, complete, cycle, g_m, path, random_tree, star, theta
 from mutvis.solvers import INVARIANTS
 from mutvis.verify import SuiteOptions, random_connected_graph
 
@@ -82,6 +82,32 @@ def test_oracle_agrees_with_solvers():
             assert (fast.value, fast.witness) == (slow.value, slow.witness)
             assert slow.method == "naive-oracle"
             assert fast.method == "pruned-search"
+
+
+def test_oracle_matches_the_definitional_reference(monkeypatch):
+    # Inputs where many subsets share their inner part: leaves and other
+    # simplicial vertices lie inside no geodesic.  Each scan checks a given
+    # inner part at most once, and never a vertex outside it.
+    graphs = [random_tree(n, 40 + n) for n in range(2, 10)]
+    graphs += [star(k) for k in (1, 2, 3, 5, 7)] + [g_m(m) for m in (1, 2, 3)]
+    graphs += [random_connected_graph(2 + i % 8, 2600 + i) for i in range(16)]
+    checked = []
+    tmv_holds = mutvis.visibility.VisibilityOracle.tmv_holds
+
+    def spy(self, mask):
+        checked.append(mask)
+        return tmv_holds(self, mask)
+
+    monkeypatch.setattr(mutvis.visibility.VisibilityOracle, "tmv_holds", spy)
+    for g in graphs:
+        inner = mutvis.visibility.inner_mask(g)
+        for kind, brute in (("mut", reference.brute_mut), ("muit", reference.brute_muit)):
+            checked.clear()
+            want = brute(g)
+            got = naive_oracle(g, kind)
+            assert (got.value, got.witness) == (len(want), want), (g.name, kind)
+            assert len(set(checked)) == len(checked), (g.name, kind)
+            assert all(mask & ~inner == 0 for mask in checked), (g.name, kind)
 
 
 def test_oracle_rejects_unknown_kind():

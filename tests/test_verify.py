@@ -151,3 +151,72 @@ def test_over_visible_drops_only_the_exact_value_past_the_cap():
     assert capped.status == "pass" and "exact mut" not in capped.observed
     others = [r for name, r in records.items() if name != "gm:2 x gm:2"]
     assert others and all(r.status == "pass" and ", exact mut=" in r.observed for r in others)
+
+
+def test_run_all_answers_each_question_once_per_run(monkeypatch):
+    opts = SuiteOptions(count=3, max_n=8)
+    alone = [record for tid in suite_ids() for record in run_suite(tid, opts)]
+    asked = []
+
+    def spy(kind, solve):
+        def ask(g, caps):
+            asked.append((kind, g.adjacency_masks()))
+            return solve(g, caps)
+
+        return ask
+
+    def reference(g, kind, naive_oracle=mutvis.verify.naive_oracle):
+        asked.append(("naive " + kind, g.adjacency_masks()))
+        return naive_oracle(g, kind)
+
+    for kind, solve in list(mutvis.solvers.INVARIANTS.items()):
+        monkeypatch.setitem(mutvis.solvers.INVARIANTS, kind, spy(kind, solve))
+    monkeypatch.setattr(mutvis.verify, "naive_oracle", reference)
+    assert run_all(opts) == alone
+    first = len(asked)
+    assert first and len(set(asked)) == first
+    assert {"naive mut", "naive muit", "naive mu"} <= {question for question, _ in asked}
+    # The memo ends with its run: a second run asks every question again.
+    assert run_all(opts) == alone
+    assert asked[first:] == asked[:first]
+    assert mutvis.verify._memo is None
+
+
+def test_a_capped_answer_is_asked_again(monkeypatch):
+    asked = []
+
+    def capped(g, caps):
+        asked.append(g.name)
+        raise CapExceeded("stub cap")
+
+    def stub(opts):
+        g = mutvis.verify.named_corpus()[0]
+        for k in range(2):
+            yield f"k{k}", "capped", lambda: (str(mutvis.verify._solve("mut", g, opts)), True)
+
+    monkeypatch.setitem(mutvis.solvers.INVARIANTS, "mut", capped)
+    monkeypatch.setitem(mutvis.verify._SUITES, "test:stub", ("a stub suite", stub))
+    records = run_suite("test:stub")
+    assert [r.status for r in records] == ["skipped-cap", "skipped-cap"]
+    assert len(asked) == 2
+
+
+def test_a_recalled_answer_names_the_graph_asked_about(monkeypatch):
+    # path:2 and complete:2 have the same adjacency masks.
+    asked = []
+    solve = mutvis.solvers.INVARIANTS["mut"]
+
+    def counted(g, caps):
+        asked.append(g.name)
+        return solve(g, caps)
+
+    def stub(opts):
+        for spec in ("path:2", "complete:2"):
+            g = mutvis.verify.graph_of(mutvis.verify.build(spec))
+            yield spec, spec, lambda: (mutvis.verify._solve("mut", g, opts).graph_name, True)
+
+    monkeypatch.setitem(mutvis.solvers.INVARIANTS, "mut", counted)
+    monkeypatch.setitem(mutvis.verify._SUITES, "test:stub", ("a stub suite", stub))
+    records = run_suite("test:stub")
+    assert [r.observed for r in records] == ["path:2", "complete:2"]
+    assert asked == ["path:2"]
