@@ -1,5 +1,5 @@
 """Branch-and-bound maximization over a family of vertex sets closed under
-dropping any member but the lowest (a downward-closed family is one).
+dropping its highest member (a downward-closed family is one).
 
 The searcher grows subsets of a fixed candidate list in ascending vertex
 order, so the first maximum it completes is the lexicographically smallest
@@ -9,8 +9,8 @@ low-bit extraction.  Every prune only drops branches that cannot beat the
 incumbent, which keeps it exact:
 
 * a failed membership test cuts the whole branch, since every set of the
-  branch is a superset of the infeasible set with the same lowest vertex,
-  and so infeasible too;
+  branch adds higher vertices to the infeasible set, and dropping them
+  again, highest first, would reach it; so each is infeasible too;
 * known infeasible "blockers" are never proposed.  A blocker of two
   vertices is an edge of the *conflict graph*: each candidate carries a
   bitmask of the candidates it conflicts with, and choosing a vertex drops
@@ -111,9 +111,11 @@ def lex_first_maximum(
     """Return ``(size, members)`` of a largest feasible subset of ``candidates``.
 
     ``feasible`` takes a bitmask over vertex ids and must describe a family
-    that contains the empty set and is closed under dropping any member
-    except the lowest.  It is only called on a mask whose highest vertex
-    was just added to the empty set or to a mask it accepted earlier.
+    that contains the empty set and is closed under dropping its highest
+    member, so that every ascending prefix of a feasible set is feasible
+    and the search reaches it.  It is only called on a mask whose highest
+    vertex was just added to the empty set or to a mask it accepted
+    earlier.
     Among maximum subsets the lexicographically smallest member sequence
     is returned.  ``learn``, when given, maps an infeasible bitmask to a
     blocker (ideally small) that lies in no feasible set whose lowest

@@ -128,7 +128,7 @@ def _cmd_compute(args) -> int:
         print(f"mutvis: {exc}", file=sys.stderr)
         return 1
 
-    report["graph"] = g.name
+    report["graph"] = report.pop("graph_name")
     report["order"] = g.order
     if not args.witness:
         report.pop("witness", None)

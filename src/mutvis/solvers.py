@@ -1,14 +1,15 @@
 """Exact solvers for the visibility invariants.
 
 Each maximization runs the shared branch-and-bound searcher over a family
-closed under dropping any member but the lowest:
+closed under dropping its highest member:
 
 * largest total mutual-visibility set, searched over bypass vertices only
   (a non-bypass vertex is the unique middle of some geodesic pair, so any
   set containing it hides that pair), with every distance-two core inside
   the candidates seeded as a blocker;
 * largest mutual-visibility set, searched over all vertices, with the
-  lex-leader orbit rule of ``max_mv`` breaking symmetry;
+  lex-leader orbit rules of ``max_mv`` breaking symmetry at the root and
+  one level below;
 * largest independent total mutual-visibility set, with edges inside the
   candidate list seeded as blockers as well.
 
@@ -143,18 +144,39 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
     only when every member u has rep(u) >= min(S), where rep(u) is the
     lowest vertex of u's orbit (``automorphism_orbits``).  So a root child
     is an orbit representative, and within it no member may have a
-    lower-numbered automorphic image than the set's lowest vertex.  Values
-    and lex-first witnesses stay the same:
+    lower-numbered automorphic image than the set's lowest vertex.  One
+    level down, a two-vertex set {low, s} is accepted only when s is the
+    lowest vertex of its orbit under the automorphisms found that fix low
+    (``automorphism_orbits(g, (low,))``).  Those orbits are searched for
+    only when some vertex below s shares s's orbit and its distance from
+    low, as s's image under an automorphism fixing low must; so never on a
+    graph whose orbits are trivial.  Values and lex-first witnesses stay
+    the same:
 
     * if some u in the lex-first maximum S* had rep(u) < min(S*), an
       automorphism sigma with sigma(u) = rep(u) would map S* to a maximum
-      sigma(S*) holding rep(u), which is lex-smaller.  So S* is accepted;
-    * the accepted family is closed under dropping any member except the
-      lowest, which the searcher needs of it;
-    * a mask refused by the rule learns its highest vertex ``{top}``.  That
-      singleton lies in no accepted set whose lowest vertex is at least the
-      mask's lowest vertex ``low``, and every set the search visits later
-      has such a lowest vertex, since root children come in ascending order.
+      sigma(S*) holding rep(u), which is lex-smaller.  So S* passes the
+      first rule;
+    * let low < s be the two lowest members of S*.  If an automorphism
+      sigma fixing low had sigma(s) = t < s, then sigma(S*) would be a
+      maximum holding low and t, whose lowest member is below low or is
+      low with a second member at most t: lex-smaller again.  So s is the
+      lowest of its orbit under the automorphisms fixing low, and the
+      lowest of the finer orbits found too;
+    * the accepted family is closed under dropping its highest member,
+      which is all the searcher needs of it: a set of three or more keeps
+      its two lowest members;
+    * a mask refused by the first rule learns its highest vertex ``{top}``.
+      That singleton lies in no accepted set whose lowest vertex is at
+      least the mask's lowest vertex ``low``, and every set the search
+      visits later has such a lowest vertex, since root children come in
+      ascending order.  A mask refused by the second rule learns nothing,
+      since {low, s} can still lie in an accepted set whose second vertex
+      is lower; the refusal itself cuts every set with second vertex s.
+
+    The rule stops at depth one.  A third vertex would need the
+    automorphisms fixing both lower members, one more orbit search per
+    accepted pair; on graphs of order 18 to 20 that was no faster.
     """
     _require_connected(g)
     if g.order > cap:
@@ -163,17 +185,31 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
         )
     oracle = VisibilityOracle.for_graph(g)
     rep = automorphism_orbits(g)
+    orbit = [0] * g.order  # representative -> mask of its orbit
+    for u, r in enumerate(rep):
+        orbit[r] |= 1 << u
+
+    def refusal(mask: int) -> int | None:
+        """The blocker to learn when a symmetry rule refuses mask, else None.
+        The rest of mask was accepted, so only the new top can break a rule."""
+        top = mask.bit_length() - 1
+        low = (mask & -mask).bit_length() - 1
+        if rep[top] < low:
+            return 1 << top
+        if low < top and mask == (1 << low) | (1 << top):
+            for near in oracle.levels[low]:  # the level holding top
+                if near >> top & 1:
+                    break
+            if orbit[rep[top]] & near & ((1 << top) - 1) and automorphism_orbits(g, (low,))[top] < top:
+                return 0
+        return None
 
     def feasible(mask: int) -> bool:
-        # The rest of mask was accepted, so only the new top can break the rule.
-        top = mask.bit_length() - 1
-        return rep[top] >= (mask & -mask).bit_length() - 1 and oracle.mv_grows(mask)
+        return refusal(mask) is None and oracle.mv_grows(mask)
 
     def learn(mask: int) -> int:
-        top = mask.bit_length() - 1
-        if rep[top] < (mask & -mask).bit_length() - 1:
-            return 1 << top
-        return oracle.minimal_mv_blocker(mask)
+        blocker = refusal(mask)
+        return oracle.minimal_mv_blocker(mask) if blocker is None else blocker
 
     value, witness = lex_first_maximum(range(g.order), feasible, learn=learn)
     _validate(g, "mu", value, witness)

@@ -248,8 +248,22 @@ class VisibilityOracle:
     # -- conflict cores ----------------------------------------------------------
 
     def minimal_pair_blocker(self, obstacles: int, x: int, y: int) -> int:
-        """Shrink obstacles to an inclusion-minimal set still blocking (x, y)."""
-        core = obstacles & ~((1 << x) | (1 << y))
+        """Shrink obstacles, which block (x, y), to an inclusion-minimal set
+        still blocking it.
+
+        Only an obstacle strictly inside some x,y-geodesic can change
+        whether the pair is visible, so the greedy shrink would drop every
+        other one; those are left out before it starts.  At distance d that
+        interval is the union over 0 < k < d of the vertices at distance k
+        from x and d - k from y."""
+        lx, ly = self.levels[x], self.levels[y]
+        d = 1
+        while not lx[d] >> y & 1:
+            d += 1
+        between = 0
+        for k in range(1, d):
+            between |= lx[k] & ly[d - k]
+        core = obstacles & between
         rem = core
         while rem:
             low = rem & -rem
@@ -279,29 +293,44 @@ class VisibilityOracle:
 ORBIT_STEP_BUDGET = 20_000
 
 
-def automorphism_orbits(g: Graph) -> tuple[int, ...]:
+def automorphism_orbits(g: Graph, fixed: tuple[int, ...] = ()) -> tuple[int, ...]:
     """For each vertex, the lowest vertex of its orbit under the group
-    generated by the automorphisms found.  Cached per graph.
+    generated by the automorphisms found that fix every vertex of
+    ``fixed`` (all automorphisms when it is empty).  Cached per graph and
+    fixed tuple.
 
     An automorphism of a connected graph is exactly a bijection that keeps
-    every distance, so the search reads the oracle's distance levels.  For
-    each vertex w not yet in a lower orbit, and each lower orbit
-    representative v with the same level sizes, a backtracking search maps
-    the vertices in BFS order from v (level by level, low bit first),
-    starting with v -> w.  A vertex u may map to any x with u's level sizes
-    that lies in level k of p's image for each placed p at distance k >= 1
-    from u, which keeps x off every image so far.  A union-find joins u and
-    phi(u) for every vertex u of every automorphism phi found, so the
-    classes are the orbits of the group those automorphisms generate.  At
-    most ``ORBIT_STEP_BUDGET`` images are tried in all; running out only
-    leaves the orbits finer, never wrong.
+    every distance, so the search reads the oracle's distance levels.  A
+    vertex's profile is its level sizes, then its distances to the fixed
+    vertices, which every automorphism fixing them keeps; a fixed vertex,
+    at distance 0 from itself, is alone with its profile.  The fixed
+    vertices map to themselves.  For each vertex w not yet in a lower
+    orbit, and each lower orbit representative v with the same profile, a
+    backtracking search maps v to w, then the other vertices in BFS order
+    from v (level by level, low bit first).  A vertex u may map to any x
+    with u's profile that lies in level k of p's image for each placed p at
+    distance k >= 1 from u, which keeps x off every image so far.  A
+    union-find joins u and phi(u) for every vertex u of every automorphism
+    phi found, so the classes are the orbits of the group those
+    automorphisms generate.  At most ``ORBIT_STEP_BUDGET`` images are tried
+    in all; running out only leaves the orbits finer, never wrong.
     """
-    cached = g._cache.get("orbits")
+    fixed = tuple(fixed)
+    cache = g._cache.setdefault("orbits", {})
+    cached = cache.get(fixed)
     if cached is not None:
         return cached
     n = g.order
     levels = VisibilityOracle.for_graph(g).levels
-    profile = [tuple(level.bit_count() for level in lv) for lv in levels]
+    pinned = 0
+    for f in fixed:
+        _check_vertex(g, f)
+        pinned |= 1 << f
+    profile = [
+        tuple(level.bit_count() for level in lv)
+        + tuple(next(k for k, level in enumerate(lv) if level >> f & 1) for f in fixed)
+        for lv in levels
+    ]
     alike: dict[tuple[int, ...], int] = {}
     for u, p in enumerate(profile):
         alike[p] = alike.get(p, 0) | 1 << u
@@ -315,9 +344,9 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
 
     def isometry(v: int, w: int) -> list[int] | None:
         nonlocal budget
-        order = [x for level in levels[v] for x in range(n) if level >> x & 1]
-        image = [0] * n
-        options = [1 << w] + [0] * (n - 1)
+        order = [x for level in levels[v] for x in range(n) if (level & ~pinned) >> x & 1]
+        image = list(range(n))  # the fixed vertices keep their own
+        options = [1 << w] + [0] * (len(order) - 1)
         placed = 0
         i = 0
         while True:
@@ -335,7 +364,7 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
             image[order[i]] = low.bit_length() - 1
             placed |= 1 << order[i]
             i += 1
-            if i == n:
+            if i == len(order):
                 return image
             u = order[i]
             m = alike[profile[u]]
@@ -362,8 +391,7 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
                     if a != b:
                         parent[max(a, b)] = min(a, b)
                 break
-    cached = tuple(find(u) for u in range(n))
-    g._cache["orbits"] = cached
+    cached = cache[fixed] = tuple(find(u) for u in range(n))
     return cached
 
 

@@ -135,12 +135,17 @@ def brute_alpha(g):
     return len(_lex_first_maximum(g.order, lambda s: is_independent(g, s)))
 
 
-def orbit_minima(g):
-    """For each vertex, the lowest vertex of its orbit under the full
-    automorphism group, found by trying every permutation."""
+def orbit_minima(g, fixed=()):
+    """For each vertex, the lowest vertex of its orbit under the
+    automorphisms that fix every vertex of ``fixed`` (the full group when
+    it is empty), found by trying every permutation of the other vertices."""
     edges = set(g.edges())
+    free = [u for u in range(g.order) if u not in fixed]
     low = list(range(g.order))
-    for p in permutations(range(g.order)):
+    for images in permutations(free):
+        p = list(range(g.order))
+        for u, x in zip(free, images):
+            p[u] = x
         if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges):
             for u in range(g.order):
                 low[p[u]] = min(low[p[u]], u)

@@ -46,6 +46,18 @@ def test_compute_json_timestamp_by_default(capsys):
     assert "timestamp" in payload
 
 
+def test_compute_json_keys(capsys):
+    # The graph is named once, as "graph".
+    base = ("compute", "--invariant", "mu", "--stable")
+    keys = {"graph", "order", "kind", "value", "method"}
+    code, out, _ = run_cli(capsys, *base, "--graph", "cycle:5")
+    assert (code, set(json.loads(out))) == (0, keys)
+    code, out, _ = run_cli(capsys, *base, "--graph", "cycle:5", "--witness")
+    assert (code, set(json.loads(out))) == (0, keys | {"witness"})
+    code, out, _ = run_cli(capsys, *base, "--graph", "cp(path:2,cycle:4)", "--witness")
+    assert (code, set(json.loads(out))) == (0, keys | {"witness", "witness_coords"})
+
+
 def test_stable_runs_are_byte_identical(capsys):
     args = ("compute", "--graph", "cycle:9", "--invariant", "mut", "--stable")
     _, first, _ = run_cli(capsys, *args)

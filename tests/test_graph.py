@@ -194,6 +194,25 @@ def test_automorphism_orbits_of_known_graphs():
     assert automorphism_orbits(grid) is automorphism_orbits(grid)
 
 
+def test_stabiliser_orbits_of_known_graphs(monkeypatch):
+    # Fixing a vertex keeps only the automorphisms that map it to itself.
+    for n in (3, 4, 7, 8):
+        assert automorphism_orbits(cycle(n), (0,)) == tuple(min(i, n - i) for i in range(n))
+    for k in (2, 5):
+        assert automorphism_orbits(star(k), (0,)) == (0,) + (1,) * k
+        assert automorphism_orbits(star(k), (1,)) == (0, 1) + (2,) * (k - 1)
+    for n in (2, 5):
+        assert automorphism_orbits(complete(n), (0,)) == (0,) + (1,) * (n - 1)
+    assert automorphism_orbits(complete(5), (0, 1)) == (0, 1) + (2,) * 3
+    grid = graph_of(build("cp(path:3,path:3)"))
+    assert automorphism_orbits(grid, (0,)) == (0, 1, 2, 1, 4, 5, 2, 5, 8)
+    assert automorphism_orbits(grid, (0,)) is automorphism_orbits(grid, (0,))
+    assert automorphism_orbits(grid) == (0, 1, 0, 1, 4, 1, 0, 1, 0)
+    monkeypatch.setattr(mutvis.visibility, "ORBIT_STEP_BUDGET", 0)
+    assert automorphism_orbits(cycle(6), (0,)) == tuple(range(6))
+    assert automorphism_orbits(complete(4), (2,)) == tuple(range(4))
+
+
 # The orbits found before a tight budget runs out depend on the order in
 # which images are tried, which the full-group tests above cannot see.
 TIGHT_BUDGET_ORBITS = {

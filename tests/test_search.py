@@ -281,16 +281,41 @@ SYMMETRIC_SPECS = [
 ]
 
 
+def test_stabiliser_orbits_match_brute_force():
+    # The orbits under the automorphisms that fix one vertex, for every
+    # vertex, against every permutation fixing it, on seeded connected
+    # graphs and the symmetric specs of order up to 8.
+    graphs = [random_connected_graph(2 + i % 7, 7600 + i) for i in range(56)]
+    graphs += [g for g in (graph_of(build(spec)) for spec in SYMMETRIC_SPECS) if g.order <= 8]
+    moved = 0
+    for g in graphs:
+        for v in range(g.order):
+            want = reference.orbit_minima(g, (v,))
+            assert automorphism_orbits(g, (v,)) == want, (g.name, v)
+            moved += want != tuple(range(g.order))
+    assert moved >= 100
+
+
+# The seven products of the benchmark's mu workload.
+MU_ANCHORS = [
+    "cp(cycle:4,complete:5)", "cp(complete:4,complete:5)", "cp(cycle:5,cycle:4)",
+    "cp(biclique:2,2,path:5)", "cp(star:3,cycle:5)", "cp(path:4,cycle:5)", "cp(path:2,petersen)",
+]
+
+
 def test_orbit_pruning_keeps_every_mu_answer():
     # max_mv skips sets whose automorphic image was searched before; the
     # plain search with the same oracle must give the same value and
     # witness.  Most of these graphs have a non-trivial orbit, so a rule
-    # that is not invariant under automorphisms (degree classes, say) fails.
+    # that is not invariant under automorphisms (degree classes, say) fails,
+    # and so does one that reads the whole-graph orbits for the second
+    # vertex instead of those fixing the first (cycle:8 would give 1).
     graphs = [random_connected_graph(4 + i % 7, 5000 + i) for i in range(300)]
-    graphs += [graph_of(build(spec)) for spec in SYMMETRIC_SPECS]
+    specs = SYMMETRIC_SPECS + MU_ANCHORS + ["cp(complete:4,complete:4)", "cp(cycle:5,cycle:5)"]
+    graphs += [graph_of(build(spec)) for spec in specs]
     symmetric = 0
     for g in graphs:
-        r = max_mv(g)
+        r = max_mv(g, cap=g.order)
         assert (r.value, r.witness) == _plain_mu(g), g.name
         symmetric += automorphism_orbits(g) != tuple(range(g.order))
     assert symmetric >= 150
@@ -331,13 +356,13 @@ def test_mu_builds_no_distance_matrix(monkeypatch):
 # anchor products of the benchmark's mu workload, and one biclique product
 # whose mut is proved by pair conflicts and colour classes alone.
 SEARCH_EFFORT = {
-    ("mu", "cp(cycle:4,complete:5)"): (1034, 83),
-    ("mu", "cp(complete:4,complete:5)"): (1052, 69),
-    ("mu", "cp(cycle:5,cycle:4)"): (700, 123),
+    ("mu", "cp(cycle:4,complete:5)"): (591, 74),
+    ("mu", "cp(complete:4,complete:5)"): (557, 74),
+    ("mu", "cp(cycle:5,cycle:4)"): (639, 121),
     ("mu", "cp(biclique:2,2,path:5)"): (728, 177),
-    ("mu", "cp(star:3,cycle:5)"): (751, 137),
-    ("mu", "cp(path:4,cycle:5)"): (667, 139),
-    ("mu", "cp(path:2,petersen)"): (421, 87),
+    ("mu", "cp(star:3,cycle:5)"): (669, 139),
+    ("mu", "cp(path:4,cycle:5)"): (530, 141),
+    ("mu", "cp(path:2,petersen)"): (238, 72),
     ("mut", "cp(biclique:3,4,biclique:4,4)"): (11127, 0),
 }
 

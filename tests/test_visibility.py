@@ -305,3 +305,49 @@ def test_mv_grow_check_matches_brute_force():
                     grows += 1
                     infeasible += not want
     assert grows > 5000 and infeasible > 1000
+
+
+def _unfiltered_pair_blocker(oracle, obstacles, x, y):
+    # minimal_pair_blocker's greedy shrink as it ran before the geodesic
+    # interval filter: every obstacle but x and y is tried.
+    core = obstacles & ~((1 << x) | (1 << y))
+    rem = core
+    while rem:
+        low = rem & -rem
+        rem &= rem - 1
+        if not oracle.pair_visible(x, y, core & ~low):
+            core &= ~low
+    return core
+
+
+def test_pair_blocker_filter_keeps_every_blocker():
+    # Obstacles off every x,y-geodesic never change pair_visible(x, y, .),
+    # so leaving them out before the shrink must give the same blocker, for
+    # the pair, total and mutual blockers alike.
+    rng = random.Random(29)
+    graphs = [random_connected_graph(5 + i % 8, 7300 + i) for i in range(40)]
+    graphs += [graph_of(build(spec)) for spec in ("cp(path:3,cycle:4)", "petersen", "fig1")]
+    pairs = outside = 0
+    for g in graphs:
+        slow = reference.floyd_warshall(g)
+        oracle = VisibilityOracle.for_graph(g)
+        for _ in range(8):
+            obstacles = sum(1 << v for v in range(g.order) if rng.random() < 0.4)
+            for x, y in combinations(range(g.order), 2):
+                if oracle.pair_visible(x, y, obstacles):
+                    continue
+                want = _unfiltered_pair_blocker(oracle, obstacles, x, y)
+                assert oracle.minimal_pair_blocker(obstacles, x, y) == want, (g.name, obstacles, x, y)
+                inside = {v for p in reference.all_shortest_paths(g, x, y, slow) for v in p[1:-1]}
+                pairs += 1
+                outside += any(obstacles >> v & 1 for v in set(range(g.order)) - inside - {x, y})
+            pair = oracle.tmv_violation(obstacles)
+            want = 0 if pair is None else _unfiltered_pair_blocker(oracle, obstacles & oracle.inner, *pair)
+            assert oracle.minimal_tmv_blocker(obstacles) == want, (g.name, obstacles)
+            pair = oracle.mv_violation(obstacles)
+            want = 0
+            if pair is not None:
+                x, y = pair
+                want = _unfiltered_pair_blocker(oracle, obstacles, x, y) | 1 << x | 1 << y
+            assert oracle.minimal_mv_blocker(obstacles) == want, (g.name, obstacles)
+    assert pairs > 2000 and outside > pairs // 2
