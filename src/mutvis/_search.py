@@ -22,13 +22,22 @@ incumbent, which keeps it exact:
   is a pair conflict that holds in this subtree only, and the chosen
   vertex's local conflicts also filter its child's suffix.  This is unit
   propagation on learned nogoods (Marques-Silva & Sakallah's GRASP).  A
-  child's region lies inside its parent's, so each node hands its children
-  the blockers inside its own region, less those through a dropped vertex,
-  and a child tests only those and the log entries added since its
-  parent's test.  A blocker learned after a node's test is caught by a
-  lookup of the blockers whose highest vertex is the one just added: the
-  set grown was accepted, so a blocker inside the new set must hold the
-  new vertex, and that vertex is above all the others;
+  child's region lies inside its parent's and a residual only shrinks
+  down a branch, so this state is carried down the tree, not rebuilt at
+  each node (as watched-literal solvers carry theirs; Moskewicz et al.'s
+  Chaff).  Each node hands its children its local pair conflicts and, in
+  rank order, the blockers of its region whose residual still has three
+  or more vertices.  A child keeps those inside its own region; only the
+  ones holding the vertex just chosen lost a residual vertex, so only
+  they can become pair conflicts.  It examines whole the log entries added
+  since its parent's test, the only blockers whose residual can be a
+  single vertex.  An inherited pair conflict may have an end outside the
+  child's suffix, where it constrains nothing, so every node makes the
+  decisions it would make after rebuilding its state from all the
+  blockers inside its region.  A blocker learned after a node's test is
+  caught by a lookup of the blockers whose highest vertex is the one just
+  added: the set grown was accepted, so a blocker inside the new set must
+  hold the new vertex, and that vertex is above all the others;
 * a branch is abandoned when an upper bound on what the remaining suffix
   can add cannot beat the incumbent.  The main bound is the greedy clique
   cover of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et
@@ -53,6 +62,11 @@ of its members from a set ``feasible`` has already accepted (or from the
 empty set).  A membership test may rely on that, and check only what the
 new vertex can break; the blocker lookup above relies on it too, so no
 seeded or learned blocker may lie inside a set ``feasible`` accepts later.
+Nor does ``feasible`` ever see a set that holds a seeded or learned
+blocker: the pair-conflict test and the lookup run first.  So a
+membership test need not check what the blockers already decide; the
+total searches pass a constant True, and the ``mu`` search checks only
+the pairs its seeds leave open.
 Every set in the subtree of a root child v has lowest vertex v, and the
 root takes its children in ascending order, so a blocker learned from a
 mask with lowest vertex ``low`` need only lie in no feasible set whose
@@ -60,7 +74,8 @@ lowest vertex is at least ``low``; an infeasible subset of the mask always
 qualifies when the family is downward closed.
 
 Blockers may be seeded up front (edges, when independence is part of the
-family, or the distance-two cores of total mutual-visibility) or learned
+family, the distance-two cores of total mutual-visibility, or the
+short-pair blockers of mutual-visibility) or learned
 from a ``learn`` callback that shrinks a failed set to an infeasible core.
 When every infeasible set holds a seed, ``feasible`` may be constant True.
 """
@@ -68,6 +83,7 @@ When every infeasible set holds a seed, ``feasible`` may be constant True.
 from __future__ import annotations
 
 import sys
+from bisect import insort
 from typing import Callable, Iterable
 
 BLOCKER_LIMIT = 4096
@@ -122,7 +138,8 @@ def lex_first_maximum(
     vertex is at least the mask's lowest vertex, such as an infeasible
     subset of the mask in a downward-closed family.  Seeded blockers must
     lie in no feasible set.  Both are used only for pruning, so they never
-    change the reported maximum.
+    change the reported maximum, and ``feasible`` is never called on a
+    mask that holds one of them.
     """
     everyone = sum({1 << v for v in candidates})
     log: list[int] = []  # blockers of other than two vertices, oldest first
@@ -153,34 +170,52 @@ def lex_first_maximum(
                 return True
         return False
 
-    def grow(mask: int, size: int, suffix: int, inherited: list[int], since: int) -> None:
+    def grow(mask: int, size: int, suffix: int, carried: list[int], local: dict[int, int], since: int) -> None:
         nonlocal best_size, best
-        # The blockers inside chosen | suffix, in rank order (see the
-        # module docstring): the parent's, and those logged since its test.
-        outside = ~(mask | suffix)
-        hits = [b for b in inherited if not b & outside]
-        fresh = [b for b in log[since:] if not b & outside]
-        if fresh:
-            hits += fresh
-            hits.sort(key=_blocker_rank)
+        # The blockers of the parent's region whose residual had three or
+        # more vertices there, in rank order, and the parent's pair
+        # conflicts (see the module docstring).  A fresh blocker, logged
+        # since the parent's test, is examined whole; an inherited one can
+        # change its residual only through the vertex just chosen.
+        pairs: list[int] = []  # residuals that became pairs at this node
+        region = mask | suffix
+        fresh = [b for b in log[since:] if b & region == b]
         since = len(log)
-        dropped = 0
-        for b in hits:
-            r = b & ~mask
-            if not r & (r - 1):
-                dropped |= r
-        if dropped:
-            suffix &= ~dropped
-            hits = [b for b in hits if not b & dropped]
-        local: dict[int, int] = {}
+        if fresh:
+            for b in fresh:
+                r = b & ~mask
+                if not r & (r - 1):
+                    suffix &= ~r
+            region = mask | suffix
+            carried = carried[:]
+            for b in fresh:
+                if b & region != b:
+                    continue  # through a dropped vertex
+                r = b & ~mask
+                if r.bit_count() == 2:
+                    pairs.append(r)
+                else:
+                    insort(carried, b, key=_blocker_rank)
+        outside = ~region
+        inside = ~mask
+        chosen = 1 << mask.bit_length() - 1 if mask else 0
+        big: list[int] = []
         used = packed = 0
-        for b in hits:
-            r = b & ~mask
-            if r.bit_count() == 2:
+        for b in carried:
+            if b & outside:
+                continue
+            r = b & inside
+            if b & chosen and r.bit_count() == 2:
+                pairs.append(r)
+            else:
+                big.append(b)
+                if not r & used:
+                    packed += 1
+                    used |= r
+        if pairs:
+            local = dict(local)  # the parent and its other children keep theirs
+            for r in pairs:
                 _link(local, r)
-            elif not r & used:
-                packed += 1
-                used |= r
         if size + suffix.bit_count() - packed <= best_size:
             return
         tops = _class_tops(suffix, conflicts, local) if conflicts or local else suffix
@@ -206,14 +241,14 @@ def lex_first_maximum(
                 best_size, best = size + 1, vmask
             rest = rem & ~(near | local.get(v, 0))
             if size + 1 + min((tops & rem).bit_count(), rest.bit_count()) > best_size:
-                grow(vmask, size + 1, rest, hits, since)
+                grow(vmask, size + 1, rest, big, local, since)
 
     # grow recurses once per chosen vertex, so a large answer needs more
     # frames than Python's default limit allows.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, everyone.bit_count() + _CALLER_FRAMES))
     try:
-        grow(0, 0, everyone, [], 0)
+        grow(0, 0, everyone, [], {}, 0)
     finally:
         sys.setrecursionlimit(limit)
     return best_size, tuple(v for v in range(best.bit_length()) if best >> v & 1)

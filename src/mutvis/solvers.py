@@ -7,9 +7,10 @@ closed under dropping its highest member:
   (a non-bypass vertex is the unique middle of some geodesic pair, so any
   set containing it hides that pair), with every distance-two core inside
   the candidates seeded as a blocker;
-* largest mutual-visibility set, searched over all vertices, with the
-  lex-leader orbit rules of ``max_mv`` breaking symmetry at the root and
-  one level below;
+* largest mutual-visibility set, searched over all vertices, with every
+  blocker of a pair at distance two or three seeded, a BFS check of the
+  farther pairs, and the lex-leader orbit rules of ``max_mv`` breaking
+  symmetry at the root and one level below;
 * largest independent total mutual-visibility set, with edges inside the
   candidate list seeded as blockers as well.
 
@@ -43,6 +44,7 @@ from .visibility import (
     distance_two_cores,
     is_mv_set,
     is_total_mv_set,
+    short_pair_blockers,
 )
 
 DEFAULT_BP_CAP = 30
@@ -140,6 +142,23 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
     visible, so every vertex is a candidate and there is no bypass
     restriction.  Raises CapExceeded when the order exceeds ``cap``.
 
+    The close pairs are decided by seeds (``short_pair_blockers``), by a
+    lemma: a set X that holds x and y hides them at distance two exactly
+    when it holds N(x) & N(y), and at distance three exactly when it
+    covers H, the edges between the middle layers N(x) & L_2(y) and N(y) &
+    L_2(x).  Proof: the geodesics are the paths x-w-y over the common
+    neighbours w, or the paths x-a-b-y, whose middle edge ab lies in H
+    since d(a, y) = d(x, b) = 2; and every such w or edge ab gives a
+    geodesic.  So the pair's blockers are {x, y} with its common
+    neighbourhood, or with each minimal vertex cover of H, and a set that
+    holds none of them sees the pair.  The seeds lie in no
+    mutual-visibility set, so they prune nothing feasible, and the
+    searcher never calls ``feasible`` on a mask that holds a seeded or
+    learned blocker.  So ``mv_grows`` searches by BFS only the pairs at
+    distance four or more and the close pairs left without seeds (past
+    ``BLOCKER_LIMIT``, or with a smaller middle layer past
+    ``SHORT_PAIR_LAYER_LIMIT``).
+
     The search breaks symmetry with a lex-leader rule: it accepts a set S
     only when every member u has rep(u) >= min(S), where rep(u) is the
     lowest vertex of u's orbit (``automorphism_orbits``).  So a root child
@@ -204,14 +223,16 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
                 return 0
         return None
 
+    seeds, far = short_pair_blockers(g)
+
     def feasible(mask: int) -> bool:
-        return refusal(mask) is None and oracle.mv_grows(mask)
+        return refusal(mask) is None and oracle.mv_grows(mask, far)
 
     def learn(mask: int) -> int:
         blocker = refusal(mask)
         return oracle.minimal_mv_blocker(mask) if blocker is None else blocker
 
-    value, witness = lex_first_maximum(range(g.order), feasible, learn=learn)
+    value, witness = lex_first_maximum(range(g.order), feasible, learn=learn, seed_blockers=seeds)
     _validate(g, "mu", value, witness)
     return InvariantReport("mu", value, witness, "pruned-search", g.name)
 

@@ -33,6 +33,24 @@ one of its geodesics, so from each old member only the targets in
 ``interior(v)`` are searched.  ``tmv_holds`` and ``mv_holds`` stay the
 full, non-incremental checks.
 
+Mutual visibility is local for close pairs.  Lemma: let X hold x and y.
+At distance two, X hides the pair exactly when it holds the common
+neighbourhood N(x) & N(y); at distance three, exactly when X & (L1 | L2)
+covers H, the edges between the middle layers L1 = N(x) & L_2(y) and L2 =
+N(y) & L_2(x).  Proof: the geodesics of a pair at distance two are the
+paths x-w-y over its common neighbours w.  A geodesic x-a-b-y at distance
+three has d(a, y) = d(x, b) = 2, so a is in L1, b is in L2 and ab is an
+edge of H; and every edge ab of H gives the geodesic x-a-b-y.  So X hides
+the pair exactly when every edge of H has an end in X.  A vertex cover
+stays one when vertices are added, so that holds exactly when X holds a
+minimal cover.  The pair's blockers are therefore {x, y} joined with its
+common neighbourhood, or with each minimal vertex cover of H: the minimal
+separators of its geodesic interval (Berry, Bordat & Cogis, *Generating
+all the minimal separators of a graph*, 2000).  ``short_pair_blockers``
+lists them; the ``mu`` search seeds them, and ``mv_grows`` then searches
+only the pairs at distance four or more and any close pair left without
+seeds.
+
 A vertex lies strictly inside some geodesic exactly when it has two
 non-adjacent neighbours (the two are at distance two, through it).  Every
 total-visibility check therefore drops the obstacles outside
@@ -55,6 +73,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
+from . import _search
 from .errors import CapExceeded, GraphError
 from .graph import Graph, is_connected, _check_vertex, _check_vertex_set
 
@@ -203,9 +222,13 @@ class VisibilityOracle:
     def mv_holds(self, members: int) -> bool:
         return self.mv_violation(members) is None
 
-    def mv_grows(self, members: int) -> bool:
+    def mv_grows(self, members: int, far: list[int]) -> bool:
         """mv_holds for a set grown by its highest vertex v, given that the
-        rest is a mutual-visibility set.
+        rest is a mutual-visibility set, over the pairs that ``far`` marks:
+        far[x] is the mask of x's partners to check.  The other pairs are
+        taken as visible, which ``short_pair_blockers`` makes true of every
+        set that holds none of its blockers; with every partner marked,
+        this is the whole check.
 
         The new pairs (x, v) take one search from v.  An old pair of the
         rest was visible past the rest, and adding v can block it only when
@@ -215,7 +238,8 @@ class VisibilityOracle:
             return True  # the empty set, or one vertex
         v = members.bit_length() - 1
         rest = members ^ (1 << v)
-        if self._first_blocked_target(v, members, rest) >= 0:
+        new = rest & far[v]
+        if new and self._first_blocked_target(v, members, new) >= 0:
             return False
         inner = self.interior(v)
         n = self.n
@@ -224,7 +248,7 @@ class VisibilityOracle:
             low = rem & -rem
             rem ^= low
             x = low.bit_length() - 1
-            targets = (inner >> (x * n)) & rem
+            targets = (inner >> (x * n)) & rem & far[x]
             if targets and self._first_blocked_target(x, members, targets) >= 0:
                 return False
         return True
@@ -517,6 +541,92 @@ def distance_two_cores(g: Graph, within: int) -> set[int]:
             if not core & ~within and not core & (low - 1):
                 cores.add(core)
     return cores
+
+
+# Largest smaller middle layer whose covers short_pair_blockers enumerates.
+SHORT_PAIR_LAYER_LIMIT = 12
+
+
+def _middle_covers(
+    adj: tuple[int, ...], levels: tuple[tuple[int, ...], ...], x: int, y: int
+) -> list[int] | None:
+    """The minimal vertex covers of H, the edges between the middle layers
+    L1 = N(x) & L_2(y) and L2 = N(y) & L_2(x) of a pair at distance three,
+    or None when the smaller layer has more than SHORT_PAIR_LAYER_LIMIT
+    vertices.
+
+    Let S be the smaller layer and T the other.  A cover C that leaves out
+    the part D of S must hold N_H(D); a vertex of T outside N_H(D) has all
+    its H-edges covered by C & S, so a minimal C leaves it out.  A vertex
+    of C & S is needed exactly when it keeps an H-edge into T - N_H(D).
+    So each subset D of S gives one minimal cover, (S - D) | N_H(D), when
+    every vertex of S - D keeps such an edge, and none otherwise."""
+    s, t = adj[x] & levels[y][2], adj[y] & levels[x][2]
+    if s.bit_count() > t.bit_count():
+        s, t = t, s
+    members = [u for u in range(s.bit_length()) if s >> u & 1]
+    k = len(members)
+    if k > SHORT_PAIR_LAYER_LIMIT:
+        return None
+    edges = [adj[a] & t for a in members]
+    reach = [0] * (1 << k)  # reach[d]: N_H of the members indexed by d
+    for d in range(1, 1 << k):
+        low = d & -d
+        reach[d] = reach[d ^ low] | edges[low.bit_length() - 1]
+    covers = []
+    for d in range(1 << k):
+        free = t & ~reach[d]
+        cover = reach[d]
+        for i in range(k):
+            if not d >> i & 1:
+                if not edges[i] & free:
+                    break
+                cover |= 1 << members[i]
+        else:
+            covers.append(cover)
+    return covers
+
+
+def short_pair_blockers(g: Graph) -> tuple[set[int], list[int]]:
+    """Blockers for the pairs at distance two and three, and for each
+    vertex the mask of partners whose pairs they leave to a BFS check.
+
+    By the module docstring's lemma, a set that holds a pair x, y and none
+    of its blockers sees the pair: a pair at distance two has the one
+    blocker {x, y} | (N(x) & N(y)), and one at distance three has {x, y}
+    joined with each minimal cover of its middle edges
+    (``_middle_covers``).  At most ``_search.BLOCKER_LIMIT`` blockers are
+    made, read at call time: the distance-two pairs come first, then the
+    distance-three pairs in order, each with all of its covers or none.  A
+    pair left out, or one whose smaller middle layer passes
+    ``SHORT_PAIR_LAYER_LIMIT``, is marked in the returned masks, as is
+    every pair at distance four or more.
+    """
+    oracle = VisibilityOracle.for_graph(g)
+    adj, levels = oracle.adj, oracle.levels
+    limit = _search.BLOCKER_LIMIT
+    blockers: set[int] = set()
+    # Levels are disjoint, so their sum is their union.
+    far = [oracle.full & ~sum(lv[:4]) for lv in levels]
+    for dist in (2, 3):
+        for x, lx in enumerate(levels):
+            rem = lx[dist] >> (x + 1) << (x + 1) if dist < len(lx) else 0
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                y = low.bit_length() - 1
+                pair = 1 << x | low
+                if dist == 2:
+                    new = {pair | adj[x] & adj[y]}
+                else:
+                    covers = _middle_covers(adj, levels, x, y)
+                    new = set() if covers is None else {pair | c for c in covers}
+                if new and len(blockers) + len(new - blockers) <= limit:
+                    blockers |= new
+                else:
+                    far[x] |= low
+                    far[y] |= 1 << x
+    return blockers, far
 
 
 def is_bypass_vertex(g: Graph, u: int) -> bool:

@@ -3,12 +3,17 @@
 Everything here is built from first principles on different primitives
 than the library: Floyd-Warshall instead of BFS, explicit enumeration of
 all shortest paths instead of bitset level masks, full subset scans
-instead of pruned search.  Only usable for small graphs.
+instead of pruned search.  Only usable for small graphs.  The exception is
+``rebuild_lex_first_maximum``, a kept copy of an earlier searcher that
+the current one must match call for call.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, permutations
+
+from mutvis import _search
 
 INF = float("inf")
 
@@ -104,6 +109,27 @@ def bypass_vertices(g, dist=None):
     return frozenset(u for u in range(g.order) if is_bypass(g, u, dist))
 
 
+def short_pair_blockers(g, dist=None):
+    """For every pair x < y at distance two or three, each inclusion-minimal
+    set of vertices strictly inside its geodesics that meets every one of
+    them, joined with {x, y}; as frozensets."""
+    dist = dist or floyd_warshall(g)
+    out = set()
+    for x, y in combinations(range(g.order), 2):
+        if dist[x][y] not in (2, 3):
+            continue
+        insides = [set(p[1:-1]) for p in all_shortest_paths(g, x, y, dist)]
+        interval = sorted(set().union(*insides))
+        hitting = [
+            set(c)
+            for r in range(len(interval) + 1)
+            for c in combinations(interval, r)
+            if all(inside & set(c) for inside in insides)
+        ]
+        out.update(frozenset(h | {x, y}) for h in hitting if not any(o < h for o in hitting))
+    return out
+
+
 def _lex_first_maximum(n, feasible):
     """Largest feasible subset; ties broken toward the lexicographically
     first vertex tuple, matching the library's search order."""
@@ -150,3 +176,96 @@ def orbit_minima(g, fixed=()):
             for u in range(g.order):
                 low[p[u]] = min(low[p[u]], u)
     return tuple(low)
+
+
+def rebuild_lex_first_maximum(candidates, feasible, learn=None, seed_blockers=()):
+    """``mutvis._search.lex_first_maximum`` as it was when each node rebuilt
+    its drops, pair conflicts and packing from every blocker it inherited.
+    The searcher now carries that state down the tree; both must make the
+    same ``feasible`` and ``learn`` calls in the same order."""
+    everyone = sum({1 << v for v in candidates})
+    log = []
+    by_top = {}
+    conflicts = {}
+    known = set()
+
+    def add_blocker(b):
+        if not b or b in known:
+            return
+        known.add(b)
+        if b.bit_count() == 2:
+            _search._link(conflicts, b)
+        else:
+            log.append(b)
+            by_top.setdefault(b.bit_length() - 1, []).append(b)
+
+    for b in seed_blockers:
+        add_blocker(b)
+
+    best_size = best = 0
+
+    def covered(mask):
+        for b in by_top.get(mask.bit_length() - 1, ()):
+            if b & mask == b:
+                return True
+        return False
+
+    def grow(mask, size, suffix, inherited, since):
+        nonlocal best_size, best
+        outside = ~(mask | suffix)
+        hits = [b for b in inherited if not b & outside]
+        fresh = [b for b in log[since:] if not b & outside]
+        if fresh:
+            hits += fresh
+            hits.sort(key=_search._blocker_rank)
+        since = len(log)
+        dropped = 0
+        for b in hits:
+            r = b & ~mask
+            if not r & (r - 1):
+                dropped |= r
+        if dropped:
+            suffix &= ~dropped
+            hits = [b for b in hits if not b & dropped]
+        local = {}
+        used = packed = 0
+        for b in hits:
+            r = b & ~mask
+            if r.bit_count() == 2:
+                _search._link(local, r)
+            elif not r & used:
+                packed += 1
+                used |= r
+        if size + suffix.bit_count() - packed <= best_size:
+            return
+        tops = _search._class_tops(suffix, conflicts, local) if conflicts or local else suffix
+        rem = suffix
+        while rem:
+            if size + (tops & rem).bit_count() <= best_size:
+                break
+            low = rem & -rem
+            rem ^= low
+            v = low.bit_length() - 1
+            near = conflicts.get(v, 0)
+            if near & mask:
+                continue
+            vmask = mask | low
+            if covered(vmask):
+                continue
+            if not feasible(vmask):
+                if learn is not None and len(log) < _search.BLOCKER_LIMIT:
+                    add_blocker(learn(vmask))
+                continue
+            if size >= best_size:
+                best_size, best = size + 1, vmask
+            rest = rem & ~(near | local.get(v, 0))
+            if size + 1 + min((tops & rem).bit_count(), rest.bit_count()) > best_size:
+                grow(vmask, size + 1, rest, hits, since)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, everyone.bit_count() + 1000))
+    try:
+        grow(0, 0, everyone, [], 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    return best_size, tuple(v for v in range(best.bit_length()) if best >> v & 1)

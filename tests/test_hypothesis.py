@@ -1,10 +1,10 @@
 """Property tests: the exact solvers agree with the brute-force reference on
 random connected graphs of order at most 8, in value and in the
-lexicographically first witness, and so does the distance-two lemma that
-the total solvers rest on.  The searcher's colour-class bound counts the
-cliques of a first-fit clique cover.  The command line ends every graph
-expression and graph file in exit 0, 1 or 2 with at most one line on
-stderr.
+lexicographically first witness, and so do the distance-two lemma that
+the total solvers rest on and the short-pair seeds of the mu search.  The
+searcher's colour-class bound counts the cliques of a first-fit clique
+cover.  The command line ends every graph expression and graph file in
+exit 0, 1 or 2 with at most one line on stderr.
 
 Examples are derandomized and no example database is kept, so the suite is
 deterministic.  (Hypothesis's pytest plugin still caches the constants of
@@ -27,7 +27,7 @@ import mutvis.specs
 import reference
 from mutvis import Graph, cli, max_independent_total_mv, max_mv, max_total_mv
 from mutvis._search import _class_tops
-from mutvis.visibility import distance_two_cores
+from mutvis.visibility import distance_two_cores, short_pair_blockers
 
 
 @st.composite
@@ -66,6 +66,27 @@ def test_core_freeness_matches_brute_force(data):
     members = data.draw(st.sets(st.integers(0, g.order - 1)))
     mask = sum(1 << u for u in members)
     assert (not distance_two_cores(g, mask)) == reference.is_tmv(g, members)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_short_pair_seeds_hold_the_hidden_close_pairs(data):
+    # X holds no seed exactly when every pair of X at distance at most
+    # three is visible past X.  Half the sets start from a seed, so that
+    # a seed which hides no pair shows.
+    g = data.draw(connected_graphs())
+    seeds, _ = short_pair_blockers(g)
+    mask = sum(1 << u for u in data.draw(st.sets(st.integers(0, g.order - 1))))
+    if seeds and data.draw(st.booleans()):
+        mask |= data.draw(st.sampled_from(sorted(seeds)))
+    members = {u for u in range(g.order) if mask >> u & 1}
+    slow = reference.floyd_warshall(g)
+    close = all(
+        reference.visible(g, members, x, y, slow)
+        for x, y in combinations(sorted(members), 2)
+        if slow[x][y] <= 3
+    )
+    assert (not any(b & mask == b for b in seeds)) == close
 
 
 def _first_fit_bounds(order: list[int], near) -> list[int]:

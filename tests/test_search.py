@@ -235,43 +235,72 @@ def test_total_solvers_seed_only_blocked_bypass_cores(monkeypatch):
 
 
 def test_mu_solver_grows_only_accepted_sets(monkeypatch):
-    # mv_grows relies on the rest of its set being a mutual-visibility set;
-    # hold max_mv to that on every call.
+    # mv_grows relies on the rest of its set being a mutual-visibility set,
+    # and on the set holding none of the seeded short-pair blockers, whose
+    # pairs its far masks skip; hold max_mv to both on every call.
     grows = VisibilityOracle.mv_grows
+    blockers = mutvis.solvers.short_pair_blockers
+    seeded = []
     calls = []
 
-    def checked(self, mask):
+    def seeding(g):
+        seeds, far = blockers(g)
+        seeded[:] = seeds
+        return seeds, far
+
+    def checked(self, mask, far):
         v = mask.bit_length() - 1
         rest = mask ^ (1 << v)
         assert self.mv_holds(rest)
+        assert not any(b & mask == b for b in seeded), mask
         calls.append(mask)
-        return grows(self, mask)
+        return grows(self, mask, far)
 
+    monkeypatch.setattr(mutvis.solvers, "short_pair_blockers", seeding)
     monkeypatch.setattr(VisibilityOracle, "mv_grows", checked)
     for g in _small_products()[:6]:
         o = naive_oracle(g, "mu")
         r = max_mv(g)
         assert (r.value, r.witness) == (o.value, o.witness), g.name
-    assert calls
+    assert calls and seeded
 
 
 @pytest.mark.parametrize("limit", [0, 3])
 def test_blocker_limit_changes_no_answer(monkeypatch, limit):
-    # Learned blockers only prune; with few or none kept, max_mv must still
-    # return the default limit's value and witness, and the oracle's.
+    # Learned and seeded blockers only prune; with few or none kept, max_mv
+    # must still return the default limit's value and witness, and the
+    # oracle's.  The pairs at distance three then get no seeds, so the BFS
+    # check must take them over.
     specs = ["cp(cycle:4,complete:3)", "cp(path:3,cycle:4)", "petersen", "fig1", "cp(path:2,cycle:5)"]
     graphs = [graph_of(build(spec)) for spec in specs]
     expected = [(r.value, r.witness) for r in map(max_mv, graphs)]
+    grows = VisibilityOracle.mv_grows
+    searched = []
+
+    def checked(self, mask, far):
+        # A pair of the set at distance three that far hands to the BFS.
+        searched.extend(
+            (x, y) for x, y in combinations(range(self.n), 2)
+            if mask >> x & mask >> y & far[x] >> y & 1
+            and len(self.levels[x]) > 3 and self.levels[x][3] >> y & 1
+        )
+        return grows(self, mask, far)
+
     monkeypatch.setattr(mutvis._search, "BLOCKER_LIMIT", limit)
+    monkeypatch.setattr(VisibilityOracle, "mv_grows", checked)
     for spec, g, want in zip(specs, graphs, expected):
         r = max_mv(g)
         o = naive_oracle(g, "mu")
         assert (r.value, r.witness) == want == (o.value, o.witness), spec
+    assert searched
 
 
 def _plain_mu(g):
     oracle = VisibilityOracle.for_graph(g)
-    return lex_first_maximum(range(g.order), oracle.mv_grows, learn=oracle.minimal_mv_blocker)
+    everyone = [oracle.full] * g.order
+    return lex_first_maximum(
+        range(g.order), lambda mask: oracle.mv_grows(mask, everyone), learn=oracle.minimal_mv_blocker
+    )
 
 
 SYMMETRIC_SPECS = [
@@ -356,13 +385,13 @@ def test_mu_builds_no_distance_matrix(monkeypatch):
 # anchor products of the benchmark's mu workload, and one biclique product
 # whose mut is proved by pair conflicts and colour classes alone.
 SEARCH_EFFORT = {
-    ("mu", "cp(cycle:4,complete:5)"): (591, 74),
-    ("mu", "cp(complete:4,complete:5)"): (557, 74),
-    ("mu", "cp(cycle:5,cycle:4)"): (639, 121),
-    ("mu", "cp(biclique:2,2,path:5)"): (728, 177),
-    ("mu", "cp(star:3,cycle:5)"): (669, 139),
-    ("mu", "cp(path:4,cycle:5)"): (530, 141),
-    ("mu", "cp(path:2,petersen)"): (238, 72),
+    ("mu", "cp(cycle:4,complete:5)"): (407, 14),
+    ("mu", "cp(complete:4,complete:5)"): (366, 16),
+    ("mu", "cp(cycle:5,cycle:4)"): (205, 12),
+    ("mu", "cp(biclique:2,2,path:5)"): (627, 92),
+    ("mu", "cp(star:3,cycle:5)"): (377, 27),
+    ("mu", "cp(path:4,cycle:5)"): (345, 38),
+    ("mu", "cp(path:2,petersen)"): (72, 16),
     ("mut", "cp(biclique:3,4,biclique:4,4)"): (11127, 0),
 }
 
@@ -396,3 +425,117 @@ def test_search_effort_is_pinned(monkeypatch):
             max_total_mv(g, cap=64)
         got[kind, spec] = (calls["feasible"], calls["learn"])
     assert got == SEARCH_EFFORT
+
+
+def _recorded(feasible, learn):
+    """The two callbacks, logging each call and its mask in one list."""
+    seen = []
+
+    def rec_feasible(mask):
+        seen.append(("feasible", mask))
+        return feasible(mask)
+
+    def rec_learn(mask):
+        seen.append(("learn", mask))
+        return learn(mask)
+
+    return seen, rec_feasible, rec_learn if learn else None
+
+
+def _same_calls_as_rebuilding(candidates, feasible, learn=None, seed_blockers=()):
+    """Run the searcher and the rebuilding copy in tests/reference.py on
+    one input; they must ask the same questions in the same order."""
+    candidates, seeds = list(candidates), list(seed_blockers)
+    seen, f, l = _recorded(feasible, learn)
+    got = lex_first_maximum(candidates, f, l, seeds)
+    want_seen, f, l = _recorded(feasible, learn)
+    want = reference.rebuild_lex_first_maximum(candidates, f, l, seeds)
+    assert (got, seen) == (want, want_seen)
+    return got
+
+
+def test_carried_state_makes_the_rebuilding_searchers_calls():
+    # Seeded and learned blockers of up to five vertices, and in a third of
+    # the cases learning the whole failed set, so that residuals of every
+    # size occur below the root and some blockers hold dropped vertices.
+    rng = random.Random("search:carried")
+    for i in range(400):
+        n = rng.randint(2, 13)
+        blockers = _random_family(rng, n, 5)
+        candidates = rng.sample(range(n), rng.randint(0, n))
+        seeds = rng.sample(blockers, rng.randint(0, len(blockers)))
+        whole = i % 3 == 0
+
+        def feasible(mask):
+            return not any(b & mask == b for b in blockers)
+
+        def learn(mask):
+            if whole and mask.bit_count() % 2:
+                return mask
+            return next(b for b in blockers if b & mask == b)
+
+        got = _same_calls_as_rebuilding(candidates, feasible, learn if i % 4 else None, seeds)
+        assert got == _brute_force(candidates, blockers), (candidates, blockers)
+
+
+def test_carried_state_makes_the_same_calls_on_the_verify_corpora(monkeypatch):
+    # Every mu, mut and muit solve of `verify --theorem all` at the default
+    # options, with the solvers' own callbacks and seeds.
+    solves = {"with learn": 0, "without": 0}
+
+    def both(candidates, feasible, learn=None, seed_blockers=()):
+        solves["with learn" if learn else "without"] += 1
+        return _same_calls_as_rebuilding(candidates, feasible, learn, seed_blockers)
+
+    monkeypatch.setattr(mutvis.solvers, "lex_first_maximum", both)
+    records = mutvis.verify.run_all(mutvis.verify.SuiteOptions())
+    assert all(r.status == "pass" for r in records)
+    assert solves["with learn"] >= 70 and solves["without"] >= 300, solves
+
+
+HIGH_DIAMETER_SPECS = ["cp(path:3,path:5)", "cp(cycle:4,cycle:5)", "theta:3,3,3,3,3"]
+
+
+def test_mu_matches_the_oracle_and_the_plain_search():
+    # Seeded pairs are not BFS-checked, so a missing seed or a far mask
+    # that skips a distance changes answers: against the exhaustive oracle
+    # on random graphs and trees of order at most 12, against the plain
+    # search (every pair BFS-checked, no seeds, no symmetry rule) on the
+    # benchmark's anchors and on graphs of diameter four and more.
+    graphs = [random_connected_graph(3 + i % 10, 8000 + i) for i in range(200)]
+    graphs += [graph_of(build(f"randomtree:{3 + i % 10},{8200 + i}")) for i in range(100)]
+    far = 0
+    for g in graphs:
+        r, o = max_mv(g), naive_oracle(g, "mu")
+        assert (r.value, r.witness) == (o.value, o.witness), g.name
+        far += any(len(lv) > 4 for lv in VisibilityOracle.for_graph(g).levels)
+    assert far >= 50
+    for spec in MU_ANCHORS + HIGH_DIAMETER_SPECS:
+        g = graph_of(build(spec))
+        r = max_mv(g)
+        assert (r.value, r.witness) == _plain_mu(g), spec
+
+
+def test_seeds_stay_within_the_blocker_limit(monkeypatch):
+    # The poles of theta:3,...,3 with k paths are at distance three with
+    # 2**k minimal covers.  At k = 10 they fit and the pair gets no BFS
+    # check; at k = 12 they do not fit with the distance-two seeds, so the
+    # pair is left to the BFS whole; at a lowered limit, so is k = 8.
+    blockers = mutvis.solvers.short_pair_blockers
+    seeded = []
+
+    def counted(g):
+        seeds, far = blockers(g)
+        assert len(seeds) <= mutvis._search.BLOCKER_LIMIT, g.name
+        seeded.append((len(seeds), far[0] >> 1 & 1))
+        return seeds, far
+
+    monkeypatch.setattr(mutvis.solvers, "short_pair_blockers", counted)
+    for k, limit, poles_checked in ((10, 4096, 0), (12, 4096, 1), (8, 200, 1)):
+        monkeypatch.setattr(mutvis._search, "BLOCKER_LIMIT", limit)
+        g = graph_of(build("theta:" + ",".join(["3"] * k)))
+        r = max_mv(g, cap=g.order)
+        assert (r.value, r.witness) == _plain_mu(g), (k, limit)
+        size, checked = seeded.pop()
+        assert checked == poles_checked, (k, limit)
+        assert size >= (1 << k if not checked else 4 * k), (k, limit, size)

@@ -25,7 +25,7 @@ from mutvis.generators import (
 )
 from mutvis.specs import build, graph_of
 from mutvis.verify import random_connected_graph
-from mutvis.visibility import VisibilityOracle, distance_two_cores, inner_mask
+from mutvis.visibility import VisibilityOracle, distance_two_cores, inner_mask, short_pair_blockers
 
 
 def test_pair_visibility_matches_path_enumeration():
@@ -293,6 +293,7 @@ def test_mv_grow_check_matches_brute_force():
     grows = infeasible = 0
     for g in _grow_graphs():
         oracle = VisibilityOracle.for_graph(g)
+        everyone = [oracle.full] * g.order
         slow = reference.floyd_warshall(g)
         for r in range(5):
             for base in combinations(range(g.order), r):
@@ -301,10 +302,59 @@ def test_mv_grow_check_matches_brute_force():
                 mask = sum(1 << u for u in base)
                 for v in range((base[-1] + 1) if base else 0, g.order):
                     want = reference.is_mv(g, {*base, v}, slow)
-                    assert oracle.mv_grows(mask | 1 << v) == want, (g.name, base, v)
+                    assert oracle.mv_grows(mask | 1 << v, everyone) == want, (g.name, base, v)
                     grows += 1
                     infeasible += not want
     assert grows > 5000 and infeasible > 1000
+
+
+SHORT_PAIR_SPECS = ["theta:3,3,3", "cp(path:3,cycle:4)", "petersen", "fig1", "cp(biclique:2,2,path:3)"]
+
+
+def _short_pair_graphs():
+    graphs = [random_connected_graph(2 + i % 8, 7800 + i) for i in range(80)]
+    graphs += [random_tree(4 + i % 6, 7900 + i) for i in range(20)]
+    return graphs + [graph_of(build(spec)) for spec in SHORT_PAIR_SPECS]
+
+
+def test_short_pair_blockers_match_brute_force():
+    # Every minimal geodesic-hitting set of every pair at distance two or
+    # three, against shortest-path enumeration; with every cover seeded,
+    # only the pairs at distance four or more are left to the BFS.
+    for g in _short_pair_graphs():
+        slow = reference.floyd_warshall(g)
+        seeds, far = short_pair_blockers(g)
+        got = {frozenset(u for u in range(g.order) if b >> u & 1) for b in seeds}
+        assert got == reference.short_pair_blockers(g, slow), g.name
+        for x in range(g.order):
+            assert far[x] == sum(1 << y for y in range(g.order) if slow[x][y] >= 4), (g.name, x)
+        if g.name == "theta:3,3,3":
+            # The poles' eight covers: one middle vertex of each path.
+            assert sum(len(b) == 5 and {0, 1} <= b for b in got) == 8
+
+
+def test_mv_grow_check_of_far_pairs_matches_brute_force():
+    # With the short-pair masks, mv_grows checks only far pairs; on every
+    # set that holds no seed its answer is still the whole check's.
+    grows = infeasible = 0
+    for g in _grow_graphs():
+        oracle = VisibilityOracle.for_graph(g)
+        slow = reference.floyd_warshall(g)
+        seeds, far = short_pair_blockers(g)
+        for r in range(5):
+            for base in combinations(range(g.order), r):
+                mask = sum(1 << u for u in base)
+                if any(b & mask == b for b in seeds) or not reference.is_mv(g, base, slow):
+                    continue
+                for v in range((base[-1] + 1) if base else 0, g.order):
+                    grown = mask | 1 << v
+                    if any(b & grown == b for b in seeds):
+                        continue
+                    want = reference.is_mv(g, {*base, v}, slow)
+                    assert oracle.mv_grows(grown, far) == want, (g.name, base, v)
+                    grows += 1
+                    infeasible += not want
+    assert grows > 2000 and infeasible > 100
 
 
 def _unfiltered_pair_blocker(oracle, obstacles, x, y):
