@@ -27,17 +27,19 @@ incumbent, which keeps it exact:
   each node (as watched-literal solvers carry theirs; Moskewicz et al.'s
   Chaff).  Each node hands its children its local pair conflicts and, in
   rank order, the blockers of its region whose residual still has three
-  or more vertices.  A child keeps those inside its own region; only the
-  ones holding the vertex just chosen lost a residual vertex, so only
-  they can become pair conflicts.  It examines whole the log entries added
-  since its parent's test, the only blockers whose residual can be a
-  single vertex.  An inherited pair conflict may have an end outside the
-  child's suffix, where it constrains nothing, so every node makes the
-  decisions it would make after rebuilding its state from all the
-  blockers inside its region.  A blocker learned after a node's test is
-  caught by a lookup of the blockers whose highest vertex is the one just
-  added: the set grown was accepted, so a blocker inside the new set must
-  hold the new vertex, and that vertex is above all the others;
+  or more vertices.  A child first drops the single-vertex residuals of
+  the log entries added since its parent's test, the only blockers whose
+  residual can be a single vertex, and merges those entries into the
+  inherited list.  One pass then keeps the blockers inside its region and
+  sorts them by residual: two vertices make a pair conflict, three or
+  more are handed on and packed.  An inherited pair conflict may have an
+  end outside the child's suffix, where it constrains nothing, so every
+  node makes the decisions it would make after rebuilding its state from
+  all the blockers inside its region.  At a node's test, then, every
+  blocker logged so far lies outside its region or leaves a residual of
+  two or more vertices, so none lies inside the chosen set grown by one
+  vertex of the suffix.  Only one learned since the test can, and a scan
+  of the log's tail catches it;
 * a branch is abandoned when an upper bound on what the remaining suffix
   can add cannot beat the incumbent.  The main bound is the greedy clique
   cover of the max-clique solvers (Tomita & Seki's MCQ, San Segundo et
@@ -60,10 +62,11 @@ incumbent, which keeps it exact:
 The searcher calls ``feasible`` only on a set grown by one vertex above all
 of its members from a set ``feasible`` has already accepted (or from the
 empty set).  A membership test may rely on that, and check only what the
-new vertex can break; the blocker lookup above relies on it too, so no
+new vertex can break; the log-tail scan above relies on it too, so no
 seeded or learned blocker may lie inside a set ``feasible`` accepts later.
 Nor does ``feasible`` ever see a set that holds a seeded or learned
-blocker: the pair-conflict test and the lookup run first.  So a
+blocker: the drops, the pair conflicts and the log-tail scan rule it out
+first.  So a
 membership test need not check what the blockers already decide; the
 total searches pass a constant True, and the ``mu`` search checks only
 the pairs its seeds leave open.
@@ -83,7 +86,6 @@ When every infeasible set holds a seed, ``feasible`` may be constant True.
 from __future__ import annotations
 
 import sys
-from bisect import insort
 from typing import Callable, Iterable
 
 BLOCKER_LIMIT = 4096
@@ -143,7 +145,6 @@ def lex_first_maximum(
     """
     everyone = sum({1 << v for v in candidates})
     log: list[int] = []  # blockers of other than two vertices, oldest first
-    by_top: dict[int, list[int]] = {}  # the same, filed under their highest vertex
     conflicts: dict[int, int] = {}  # vertex -> its pair conflicts; empty until a pair
     known: set[int] = set()
 
@@ -155,29 +156,19 @@ def lex_first_maximum(
             _link(conflicts, b)
         else:
             log.append(b)
-            by_top.setdefault(b.bit_length() - 1, []).append(b)
 
     for b in seed_blockers:
         add_blocker(b)
 
     best_size = best = 0  # best is the mask of the incumbent
 
-    def covered(mask: int) -> bool:
-        # mask grew an accepted set by its highest vertex, so a blocker
-        # inside it must hold that vertex, and only as its highest one.
-        for b in by_top.get(mask.bit_length() - 1, ()):
-            if b & mask == b:
-                return True
-        return False
-
     def grow(mask: int, size: int, suffix: int, carried: list[int], local: dict[int, int], since: int) -> None:
         nonlocal best_size, best
         # The blockers of the parent's region whose residual had three or
         # more vertices there, in rank order, and the parent's pair
-        # conflicts (see the module docstring).  A fresh blocker, logged
-        # since the parent's test, is examined whole; an inherited one can
-        # change its residual only through the vertex just chosen.
-        pairs: list[int] = []  # residuals that became pairs at this node
+        # conflicts (see the module docstring).  The log entries added
+        # since the parent's test join them, once their single-vertex
+        # residuals are dropped from the suffix.
         region = mask | suffix
         fresh = [b for b in log[since:] if b & region == b]
         since = len(log)
@@ -187,25 +178,17 @@ def lex_first_maximum(
                 if not r & (r - 1):
                     suffix &= ~r
             region = mask | suffix
-            carried = carried[:]
-            for b in fresh:
-                if b & region != b:
-                    continue  # through a dropped vertex
-                r = b & ~mask
-                if r.bit_count() == 2:
-                    pairs.append(r)
-                else:
-                    insort(carried, b, key=_blocker_rank)
+            carried = sorted(carried + fresh, key=_blocker_rank)
         outside = ~region
         inside = ~mask
-        chosen = 1 << mask.bit_length() - 1 if mask else 0
+        pairs: list[int] = []  # residuals that are pairs at this node
         big: list[int] = []
         used = packed = 0
         for b in carried:
             if b & outside:
-                continue
+                continue  # outside this region, as through a dropped vertex
             r = b & inside
-            if b & chosen and r.bit_count() == 2:
+            if r.bit_count() == 2:
                 pairs.append(r)
             else:
                 big.append(b)
@@ -231,7 +214,9 @@ def lex_first_maximum(
             if near & mask:
                 continue
             vmask = mask | low
-            if covered(vmask):
+            # Only a blocker learned since this node's test can lie inside
+            # vmask (see the module docstring).
+            if len(log) > since and any(b & vmask == b for b in log[since:]):
                 continue
             if not feasible(vmask):
                 if learn is not None and len(log) < BLOCKER_LIMIT:

@@ -155,9 +155,9 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
     mutual-visibility set, so they prune nothing feasible, and the
     searcher never calls ``feasible`` on a mask that holds a seeded or
     learned blocker.  So ``mv_grows`` searches by BFS only the pairs at
-    distance four or more and the close pairs left without seeds (past
-    ``BLOCKER_LIMIT``, or with a smaller middle layer past
-    ``SHORT_PAIR_LAYER_LIMIT``).
+    distance four or more and the close pairs left without seeds: those
+    past ``BLOCKER_LIMIT``, and those whose smaller middle layer has more
+    subsets than the room left under it.
 
     The search breaks symmetry with a lex-leader rule: it accepts a set S
     only when every member u has rep(u) >= min(S), where rep(u) is the
@@ -215,10 +215,8 @@ def max_mv(g: Graph, *, cap: int = DEFAULT_N_CAP) -> InvariantReport:
         low = (mask & -mask).bit_length() - 1
         if rep[top] < low:
             return 1 << top
-        if low < top and mask == (1 << low) | (1 << top):
-            for near in oracle.levels[low]:  # the level holding top
-                if near >> top & 1:
-                    break
+        if mask.bit_count() == 2:
+            near = next(lv for lv in oracle.levels[low] if lv >> top & 1)  # the level holding top
             if orbit[rep[top]] & near & ((1 << top) - 1) and automorphism_orbits(g, (low,))[top] < top:
                 return 0
         return None

@@ -543,17 +543,14 @@ def distance_two_cores(g: Graph, within: int) -> set[int]:
     return cores
 
 
-# Largest smaller middle layer whose covers short_pair_blockers enumerates.
-SHORT_PAIR_LAYER_LIMIT = 12
-
-
 def _middle_covers(
-    adj: tuple[int, ...], levels: tuple[tuple[int, ...], ...], x: int, y: int
+    adj: tuple[int, ...], levels: tuple[tuple[int, ...], ...], x: int, y: int, room: int
 ) -> list[int] | None:
     """The minimal vertex covers of H, the edges between the middle layers
     L1 = N(x) & L_2(y) and L2 = N(y) & L_2(x) of a pair at distance three,
-    or None when the smaller layer has more than SHORT_PAIR_LAYER_LIMIT
-    vertices.
+    or None when the 2**k subsets of the smaller layer, of k vertices, are
+    more than ``room``, the blockers still free; so neither the subsets
+    walked nor the covers returned ever exceed the room left.
 
     Let S be the smaller layer and T the other.  A cover C that leaves out
     the part D of S must hold N_H(D); a vertex of T outside N_H(D) has all
@@ -566,7 +563,7 @@ def _middle_covers(
         s, t = t, s
     members = [u for u in range(s.bit_length()) if s >> u & 1]
     k = len(members)
-    if k > SHORT_PAIR_LAYER_LIMIT:
+    if 1 << k > room:
         return None
     edges = [adj[a] & t for a in members]
     reach = [0] * (1 << k)  # reach[d]: N_H of the members indexed by d
@@ -597,10 +594,10 @@ def short_pair_blockers(g: Graph) -> tuple[set[int], list[int]]:
     joined with each minimal cover of its middle edges
     (``_middle_covers``).  At most ``_search.BLOCKER_LIMIT`` blockers are
     made, read at call time: the distance-two pairs come first, then the
-    distance-three pairs in order, each with all of its covers or none.  A
-    pair left out, or one whose smaller middle layer passes
-    ``SHORT_PAIR_LAYER_LIMIT``, is marked in the returned masks, as is
-    every pair at distance four or more.
+    distance-three pairs in order, each with all of its covers or none; a
+    distance-three pair gets its covers only when the 2**k subsets of its
+    smaller middle layer fit in the room left.  A pair left out is marked
+    in the returned masks, as is every pair at distance four or more.
     """
     oracle = VisibilityOracle.for_graph(g)
     adj, levels = oracle.adj, oracle.levels
@@ -619,7 +616,7 @@ def short_pair_blockers(g: Graph) -> tuple[set[int], list[int]]:
                 if dist == 2:
                     new = {pair | adj[x] & adj[y]}
                 else:
-                    covers = _middle_covers(adj, levels, x, y)
+                    covers = _middle_covers(adj, levels, x, y, limit - len(blockers))
                     new = set() if covers is None else {pair | c for c in covers}
                 if new and len(blockers) + len(new - blockers) <= limit:
                     blockers |= new

@@ -478,6 +478,40 @@ def test_carried_state_makes_the_rebuilding_searchers_calls():
         assert got == _brute_force(candidates, blockers), (candidates, blockers)
 
 
+def test_feasible_never_sees_a_seeded_or_learned_blocker():
+    # Before a membership test the searcher scans only the blockers logged
+    # since the node's own test; its drops and pair conflicts must rule out
+    # every older one.  Record each seed and each blocker learn returns, in
+    # a third of the cases the whole failed set: no mask feasible receives
+    # may hold one of them.
+    rng = random.Random("search:log-tail")
+    asked = learned = 0
+    for i in range(400):
+        n = rng.randint(2, 13)
+        blockers = _random_family(rng, n, 5)
+        candidates = rng.sample(range(n), rng.randint(0, n))
+        seeds = rng.sample(blockers, rng.randint(0, len(blockers)))
+        whole = i % 3 == 0
+        known = list(seeds)
+
+        def feasible(mask):
+            nonlocal asked
+            asked += 1
+            assert not any(b & mask == b for b in known), (mask, candidates, blockers)
+            return not any(b & mask == b for b in blockers)
+
+        def learn(mask):
+            nonlocal learned
+            learned += 1
+            b = mask if whole and mask.bit_count() % 2 else next(b for b in blockers if b & mask == b)
+            known.append(b)
+            return b
+
+        got = lex_first_maximum(candidates, feasible, learn, seeds)
+        assert got == _brute_force(candidates, blockers), (candidates, blockers)
+    assert asked > 1500 and learned > 150, (asked, learned)
+
+
 def test_carried_state_makes_the_same_calls_on_the_verify_corpora(monkeypatch):
     # Every mu, mut and muit solve of `verify --theorem all` at the default
     # options, with the solvers' own callbacks and seeds.
@@ -494,6 +528,27 @@ def test_carried_state_makes_the_same_calls_on_the_verify_corpora(monkeypatch):
 
 
 HIGH_DIAMETER_SPECS = ["cp(path:3,path:5)", "cp(cycle:4,cycle:5)", "theta:3,3,3,3,3"]
+
+
+def test_carried_state_makes_the_same_calls_on_solves_that_learn(monkeypatch):
+    # The verify corpora hold small graphs that learn few blockers; the
+    # benchmark's mu anchors, the graphs of diameter four and more and
+    # cp(path:4,path:5) learn hundreds.
+    specs = MU_ANCHORS + HIGH_DIAMETER_SPECS + ["cp(path:4,path:5)"]
+    learned = []
+
+    def both(candidates, feasible, learn=None, seed_blockers=()):
+        def counted(mask):
+            learned.append(mask)
+            return learn(mask)
+
+        return _same_calls_as_rebuilding(candidates, feasible, counted, seed_blockers)
+
+    monkeypatch.setattr(mutvis.solvers, "lex_first_maximum", both)
+    for spec in specs:
+        max_mv(graph_of(build(spec)))
+    # Each learn call is recorded twice, once per searcher.
+    assert len(learned) // 2 >= 300, len(learned)
 
 
 def test_mu_matches_the_oracle_and_the_plain_search():
@@ -539,3 +594,27 @@ def test_seeds_stay_within_the_blocker_limit(monkeypatch):
         size, checked = seeded.pop()
         assert checked == poles_checked, (k, limit)
         assert size >= (1 << k if not checked else 4 * k), (k, limit, size)
+
+
+def test_middle_covers_stay_within_the_room_left(monkeypatch):
+    # The poles of theta:3,...,3 with 12 paths have 2**12 minimal covers of
+    # their middle edges; they are built only when all 2**12 subsets of the
+    # smaller layer fit in the room left, and no call of a mu solve returns
+    # more covers than its room.
+    g = graph_of(build("theta:" + ",".join(["3"] * 12)))
+    oracle = VisibilityOracle.for_graph(g)
+    covers = mutvis.visibility._middle_covers
+    assert covers(oracle.adj, oracle.levels, 0, 1, 4095) is None
+    assert len(covers(oracle.adj, oracle.levels, 0, 1, 4096)) == 4096
+    refused = []
+
+    def bounded(adj, levels, x, y, room):
+        got = covers(adj, levels, x, y, room)
+        assert got is None or len(got) <= room, (x, y, room)
+        if got is None:
+            refused.append((x, y))
+        return got
+
+    monkeypatch.setattr(mutvis.visibility, "_middle_covers", bounded)
+    max_mv(g, cap=g.order)
+    assert (0, 1) in refused
